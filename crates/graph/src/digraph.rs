@@ -71,12 +71,14 @@ impl DiGraph {
         &self.edges
     }
 
-    /// Edges entering `node`.
+    /// Edges entering `node`, in insertion order. An O(E) scan over
+    /// every edge: keep it off hot loops.
     pub fn in_edges(&self, node: usize) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.to == node)
     }
 
-    /// Edges leaving `node`.
+    /// Edges leaving `node`, in insertion order. An O(E) scan over
+    /// every edge: keep it off hot loops.
     pub fn out_edges(&self, node: usize) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.from == node)
     }

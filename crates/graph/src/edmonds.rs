@@ -8,16 +8,224 @@
 //! optimal arborescence uses as few virtual edges as possible — every node
 //! with *any* feasible parent receives one, and only genuinely
 //! unreachable nodes become roots (Remark 4.2).
+//!
+//! # Algorithm
+//!
+//! The solver is a loop of *rounds* over two reusable edge buffers. Each
+//! round
+//!
+//! 1. picks the best incoming edge of every node: the **first minimal**
+//!    edge in edge-list order (strict `<`), never an edge into the root;
+//! 2. finds *every* cycle of that functional graph in one pass, giving
+//!    each cycle member the cycle's id as its next-round label;
+//! 3. contracts all cycles together in one order-preserving pass: edges
+//!    inside a cycle are dropped, and an edge entering a cycle member `v`
+//!    has its weight reduced to `w - best(v).weight`.
+//!
+//! When a round finds no cycle, its best edges form the arborescence of
+//! the contracted graph, and the rounds are unwound: each cycle keeps the
+//! edge chosen to enter it and all of its best edges except the one into
+//! the node that edge enters. A round costs O(E), so a solve costs
+//! O(E · rounds). Because a round contracts every cycle at once, the
+//! pipeline's family graphs need few rounds (8 at 400 types and 103k
+//! edges, 20 at 585 types and 217k edges); complete graphs with random
+//! weights need more, since a random best-edge graph has few cycles.
+//!
+//! # Tie-order invariant
+//!
+//! Contracting disjoint cycles together gives the same graph as
+//! contracting them one at a time in any order: edges keep their
+//! relative order, and every entering edge undergoes exactly the same
+//! `w - best.weight` subtractions in the same sequence. Every tie
+//! comparison therefore sees the same bits as the one-cycle-per-level
+//! seed solver in [`crate::reference`], and the chosen edges are
+//! identical; `tests/reference_diff.rs` holds the two to that.
 
-use crate::DiGraph;
+use crate::{DiGraph, Edge};
 
+/// "No edge" / "no label" marker in the solver's index arrays.
+const NONE: usize = usize::MAX;
+
+/// An edge of the current round: endpoints in this round's node labels,
+/// reduced weight, and its position in the solve's input list.
 #[derive(Clone, Copy, Debug)]
-struct WorkEdge {
+struct Live {
     from: usize,
     to: usize,
     weight: f64,
-    /// Index into the original edge list (usize::MAX for virtual edges).
-    orig: usize,
+    id: usize,
+}
+
+/// What unwinding one contraction round needs.
+#[derive(Debug)]
+struct Round {
+    root: usize,
+    /// Next-round label of each node; cycle members carry their cycle's
+    /// id, which is below the round's cycle count.
+    label: Vec<usize>,
+    /// Input position of each cycle member's best edge (`NONE` off cycles).
+    cycle_best: Vec<usize>,
+}
+
+/// The batched solver's reusable buffers. One instance serves many
+/// solves (the tie enumeration re-solves the same family repeatedly).
+#[derive(Debug, Default)]
+pub(crate) struct Solver {
+    cur: Vec<Live>,
+    next: Vec<Live>,
+    best: Vec<usize>,
+    best_w: Vec<f64>,
+    mark: Vec<usize>,
+    rounds: Vec<Round>,
+    sel: Vec<usize>,
+    next_sel: Vec<usize>,
+}
+
+impl Solver {
+    /// Minimum-weight arborescence of `input` over `n` nodes rooted at
+    /// `root`: for each node, the position in `input` of its chosen
+    /// incoming edge (`usize::MAX` for the root), or `None` if some node
+    /// is unreachable from `root`.
+    pub(crate) fn solve(&mut self, n: usize, input: &[Edge], root: usize) -> Option<&[usize]> {
+        self.cur.clear();
+        self.cur.extend(input.iter().enumerate().map(|(id, e)| Live {
+            from: e.from,
+            to: e.to,
+            weight: e.weight,
+            id,
+        }));
+        self.rounds.clear();
+        let (mut n, mut root) = (n, root);
+        loop {
+            if !self.pick_best(n, root) {
+                return None; // unreachable node
+            }
+            let (label, cycles) = self.find_cycles(n, root);
+            if cycles == 0 {
+                break;
+            }
+            (n, root) = self.contract(n, root, label, cycles);
+        }
+        self.expand(input, n, root);
+        Some(&self.sel)
+    }
+
+    /// Step 1: the first minimal incoming edge of every node. Returns
+    /// `false` if a non-root node has none.
+    fn pick_best(&mut self, n: usize, root: usize) -> bool {
+        let (best, best_w) = (&mut self.best, &mut self.best_w);
+        best.clear();
+        best.resize(n, NONE);
+        best_w.clear();
+        best_w.resize(n, 0.0);
+        for (i, e) in self.cur.iter().enumerate() {
+            if e.to == root || e.from == e.to {
+                continue;
+            }
+            if best[e.to] == NONE || e.weight < best_w[e.to] {
+                best[e.to] = i;
+                best_w[e.to] = e.weight;
+            }
+        }
+        best.iter().enumerate().all(|(v, &b)| v == root || b != NONE)
+    }
+
+    /// Step 2: labels the members of every cycle of the best-edge graph
+    /// with the cycle's id (others get `NONE`); returns the labels and
+    /// the cycle count.
+    fn find_cycles(&mut self, n: usize, root: usize) -> (Vec<usize>, usize) {
+        let mut label = vec![NONE; n];
+        let (cur, best, mark) = (&self.cur, &self.best, &mut self.mark);
+        mark.clear();
+        mark.resize(n, NONE);
+        let mut cycles = 0;
+        for start in 0..n {
+            // Walk parent pointers, stamping fresh nodes with `start`; a
+            // walk that comes back to its own stamp has closed a cycle.
+            let mut v = start;
+            while v != root && mark[v] == NONE {
+                mark[v] = start;
+                v = cur[best[v]].from;
+            }
+            if v != root && mark[v] == start {
+                let mut u = v;
+                loop {
+                    label[u] = cycles;
+                    u = cur[best[u]].from;
+                    if u == v {
+                        break;
+                    }
+                }
+                cycles += 1;
+            }
+        }
+        (label, cycles)
+    }
+
+    /// Step 3: contracts every labelled cycle in one order-preserving
+    /// pass. Returns the next round's node count and root.
+    fn contract(
+        &mut self,
+        n: usize,
+        root: usize,
+        mut label: Vec<usize>,
+        cycles: usize,
+    ) -> (usize, usize) {
+        let mut cycle_best = vec![NONE; n];
+        let mut next_n = cycles;
+        for v in 0..n {
+            if label[v] == NONE {
+                label[v] = next_n;
+                next_n += 1;
+            } else {
+                cycle_best[v] = self.cur[self.best[v]].id;
+            }
+        }
+        self.next.clear();
+        for e in &self.cur {
+            let (from, to) = (label[e.from], label[e.to]);
+            if from == to {
+                continue; // inside one cycle
+            }
+            // Entering a cycle: reduce by the cycle edge it displaces.
+            let weight = if to < cycles { e.weight - self.best_w[e.to] } else { e.weight };
+            self.next.push(Live { from, to, weight, id: e.id });
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
+        let next_root = label[root];
+        self.rounds.push(Round { root, label, cycle_best });
+        (next_n, next_root)
+    }
+
+    /// Step 4: selects the best edges of the final round and unwinds the
+    /// contractions into `sel`, one input position per original node.
+    fn expand(&mut self, input: &[Edge], n: usize, root: usize) {
+        self.sel.clear();
+        self.sel.extend((0..n).map(|v| if v == root { NONE } else { self.cur[self.best[v]].id }));
+        for r in (0..self.rounds.len()).rev() {
+            let (outer, round) = (&self.rounds[..r], &self.rounds[r]);
+            self.next_sel.clear();
+            for v in 0..round.label.len() {
+                let entering = self.sel[round.label[v]];
+                let pick = if v == round.root {
+                    NONE
+                } else if round.cycle_best[v] == NONE {
+                    entering
+                } else {
+                    // The edge entering `v`'s cycle displaces `v`'s own best
+                    // edge only if it lands on `v` in this round's labels.
+                    let target = outer.iter().fold(input[entering].to, |t, o| o.label[t]);
+                    if target == v {
+                        entering
+                    } else {
+                        round.cycle_best[v]
+                    }
+                };
+                self.next_sel.push(pick);
+            }
+            std::mem::swap(&mut self.sel, &mut self.next_sel);
+        }
+    }
 }
 
 /// The outcome of an arborescence computation.
@@ -25,7 +233,9 @@ struct WorkEdge {
 pub struct ArborescenceResult {
     /// `parent[v]` is `v`'s parent node, or `None` for the root(s).
     pub parent: Vec<Option<usize>>,
-    /// Total weight of the selected real edges.
+    /// Total weight of the selected real edges, summed in child order
+    /// (`v = 0, 1, ..`) so its bits depend only on the selected edges,
+    /// never on the order the solver settled them.
     pub total_weight: f64,
 }
 
@@ -33,6 +243,21 @@ impl ArborescenceResult {
     /// Nodes with no parent.
     pub fn roots(&self) -> Vec<usize> {
         self.parent.iter().enumerate().filter(|(_, p)| p.is_none()).map(|(i, _)| i).collect()
+    }
+
+    /// Builds the result for nodes `0..n` from the solver's per-node
+    /// input positions. Edges from node `n` or above are virtual.
+    fn from_selection(n: usize, input: &[Edge], sel: &[usize]) -> Self {
+        let mut parent = vec![None; n];
+        let mut total = 0.0;
+        for (v, &pos) in sel.iter().enumerate().take(n) {
+            if pos == NONE || input[pos].from >= n {
+                continue; // the root, or a virtual edge: `v` stays a root
+            }
+            parent[v] = Some(input[pos].from);
+            total += input[pos].weight;
+        }
+        ArborescenceResult { parent, total_weight: total }
     }
 }
 
@@ -57,21 +282,10 @@ impl ArborescenceResult {
 /// ```
 pub fn min_arborescence(graph: &DiGraph, root: usize) -> Option<ArborescenceResult> {
     assert!(root < graph.node_count(), "root out of range");
-    let edges: Vec<WorkEdge> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
-        .collect();
-    let chosen = solve(graph.node_count(), edges, root)?;
-    let mut parent = vec![None; graph.node_count()];
-    let mut total = 0.0;
-    for orig in chosen {
-        let e = graph.edges()[orig];
-        parent[e.to] = Some(e.from);
-        total += e.weight;
-    }
-    Some(ArborescenceResult { parent, total_weight: total })
+    let n = graph.node_count();
+    let mut solver = Solver::default();
+    let sel = solver.solve(n, graph.edges(), root)?;
+    Some(ArborescenceResult::from_selection(n, graph.edges(), sel))
 }
 
 /// Finds a minimum-weight **maximal forest**: every node that has at least
@@ -93,185 +307,31 @@ pub fn min_arborescence(graph: &DiGraph, root: usize) -> Option<ArborescenceResu
 /// assert_eq!(r.parent, vec![None, Some(0), Some(0), None]);
 /// ```
 pub fn min_spanning_forest(graph: &DiGraph) -> ArborescenceResult {
+    spanning_forest(&mut Solver::default(), &mut Vec::new(), graph, None)
+}
+
+/// [`min_spanning_forest`] of `graph` without its `parent → child` edges
+/// (`exclude`), reusing `solver` and the `input` buffer. Identical to
+/// solving a copy of `graph` with those edges removed.
+pub(crate) fn spanning_forest(
+    solver: &mut Solver,
+    input: &mut Vec<Edge>,
+    graph: &DiGraph,
+    exclude: Option<(usize, usize)>,
+) -> ArborescenceResult {
     let n = graph.node_count();
     if n == 0 {
         return ArborescenceResult { parent: vec![], total_weight: 0.0 };
     }
+    let kept = |e: &&Edge| exclude != Some((e.from, e.to));
     // Virtual super-root n, connected to every node with a weight so large
     // that minimizing weight first minimizes the number of virtual edges.
-    let big: f64 = graph.edges().iter().map(|e| e.weight.abs()).sum::<f64>() + 1.0;
-    let mut edges: Vec<WorkEdge> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| WorkEdge { from: e.from, to: e.to, weight: e.weight, orig: i })
-        .collect();
-    for v in 0..n {
-        edges.push(WorkEdge { from: n, to: v, weight: big, orig: usize::MAX });
-    }
-    let chosen = solve(n + 1, edges, n).expect("virtual root reaches every node");
-    let mut parent = vec![None; n];
-    let mut total = 0.0;
-    for orig in chosen {
-        if orig == usize::MAX {
-            continue; // virtual edge: the child stays a root
-        }
-        let e = graph.edges()[orig];
-        parent[e.to] = Some(e.from);
-        total += e.weight;
-    }
-    ArborescenceResult { parent, total_weight: total }
-}
-
-/// Core recursive Chu-Liu/Edmonds. Returns the original indices of the
-/// selected edges (virtual edges keep `usize::MAX`), or `None` if some
-/// node has no incoming edge.
-fn solve(n: usize, edges: Vec<WorkEdge>, root: usize) -> Option<Vec<usize>> {
-    // 1. Cheapest incoming edge per node (deterministic tie-break: first
-    //    minimal edge in insertion order — the paper's multiple-minima
-    //    case resolves to a stable choice; see DESIGN.md).
-    let mut best: Vec<Option<usize>> = vec![None; n]; // index into `edges`
-    for (i, e) in edges.iter().enumerate() {
-        if e.to == root || e.from == e.to {
-            continue;
-        }
-        match best[e.to] {
-            None => best[e.to] = Some(i),
-            Some(j) => {
-                if e.weight < edges[j].weight {
-                    best[e.to] = Some(i);
-                }
-            }
-        }
-    }
-    for (v, b) in best.iter().enumerate() {
-        if v != root && b.is_none() {
-            return None; // unreachable node
-        }
-    }
-
-    // 2. Detect a cycle among the chosen edges.
-    let cycle = find_cycle(n, root, &best, &edges);
-    let Some(cycle_nodes) = cycle else {
-        // No cycle: the chosen edges form the arborescence.
-        return Some(
-            best.iter()
-                .enumerate()
-                .filter(|(v, _)| *v != root)
-                .map(|(_, b)| edges[b.expect("checked")].orig)
-                .collect(),
-        );
-    };
-
-    // 3. Contract the cycle into a fresh node: relabel every non-cycle
-    // node densely, map all cycle members to one id `c`.
-    let in_cycle = |v: usize| cycle_nodes.contains(&v);
-    let mut relabel = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for (v, slot) in relabel.iter_mut().enumerate() {
-        if !in_cycle(v) {
-            *slot = next;
-            next += 1;
-        }
-    }
-    let c = next;
-    for &v in &cycle_nodes {
-        relabel[v] = c;
-    }
-    let new_root = relabel[root];
-
-    // Contracted edge list; `orig` now indexes into *this* level's `edges`
-    // so the expansion below can recover original identities.
-    let mut contracted: Vec<WorkEdge> = Vec::new();
-    for (i, e) in edges.iter().enumerate() {
-        let (fu, fv) = (in_cycle(e.from), in_cycle(e.to));
-        if fu && fv {
-            continue;
-        }
-        let weight = if !fu && fv {
-            // Entering the cycle: reduce by the cycle edge it displaces.
-            e.weight - edges[best[e.to].expect("cycle node has best")].weight
-        } else {
-            e.weight
-        };
-        contracted.push(WorkEdge { from: relabel[e.from], to: relabel[e.to], weight, orig: i });
-    }
-
-    let sub = solve(c + 1, contracted, new_root)?;
-
-    // 4. Expand: `sub` holds indices into this level's `edges`. Exactly
-    // one selected edge enters the contracted node.
-    let mut selected: Vec<usize> = Vec::new(); // indices into `edges`
-    let mut entering_cycle: Option<usize> = None;
-    for idx in sub {
-        if in_cycle(edges[idx].to) {
-            entering_cycle = Some(idx);
-        }
-        selected.push(idx);
-    }
-    let entering = entering_cycle.expect("an arborescence must enter the contracted node");
-    // Add all cycle edges except the one displaced by `entering`.
-    let displaced_target = edges[entering].to;
-    for &v in &cycle_nodes {
-        if v == displaced_target {
-            continue;
-        }
-        selected.push(best[v].expect("cycle node has best"));
-    }
-    Some(selected.into_iter().map(|i| edges[i].orig).collect())
-}
-
-/// Finds one cycle formed by the chosen best-incoming edges, if any.
-fn find_cycle(
-    n: usize,
-    root: usize,
-    best: &[Option<usize>],
-    edges: &[WorkEdge],
-) -> Option<Vec<usize>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Unseen,
-        InProgress(u32),
-        Done,
-    }
-    let mut marks = vec![Mark::Unseen; n];
-    for start in 0..n {
-        if start == root || marks[start] != Mark::Unseen {
-            continue;
-        }
-        let stamp = start as u32;
-        let mut v = start;
-        loop {
-            if v == root {
-                break;
-            }
-            match marks[v] {
-                Mark::Done => break,
-                Mark::InProgress(s) if s == stamp => {
-                    // Found a cycle: walk it again to collect members.
-                    let mut cycle = vec![v];
-                    let mut u = edges[best[v].expect("has best")].from;
-                    while u != v {
-                        cycle.push(u);
-                        u = edges[best[u].expect("has best")].from;
-                    }
-                    return Some(cycle);
-                }
-                Mark::InProgress(_) => break,
-                Mark::Unseen => {
-                    marks[v] = Mark::InProgress(stamp);
-                    v = edges[best[v].expect("has best")].from;
-                }
-            }
-        }
-        // Mark the walked path done.
-        let mut v = start;
-        while v != root && marks[v] == Mark::InProgress(stamp) {
-            marks[v] = Mark::Done;
-            v = edges[best[v].expect("has best")].from;
-        }
-    }
-    None
+    let big: f64 = graph.edges().iter().filter(kept).map(|e| e.weight.abs()).sum::<f64>() + 1.0;
+    input.clear();
+    input.extend(graph.edges().iter().filter(kept).copied());
+    input.extend((0..n).map(|v| Edge { from: n, to: v, weight: big }));
+    let sel = solver.solve(n + 1, input, n).expect("virtual root reaches every node");
+    ArborescenceResult::from_selection(n, input, sel)
 }
 
 #[cfg(test)]

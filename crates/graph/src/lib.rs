@@ -15,9 +15,25 @@
 //!   minimum-weight **maximal forest** (every node that *can* have a
 //!   parent gets one — Heuristic 4.1), implemented with a virtual
 //!   super-root;
+//! * [`co_optimal_forests`] and [`vote_select`] — the §4.2.2 tie
+//!   handling: enumerate co-optimal forests, pick by majority vote;
 //! * [`UnionFind`] — used by the structural family clustering (§5.1);
 //! * [`Forest`] — a node-labelled directed forest (NLD-forest, §4.1) with
-//!   the successor queries the evaluation needs.
+//!   the successor queries the evaluation needs;
+//! * [`reference`] — the seed solver and tie enumeration, kept as a test
+//!   oracle and benchmark baseline.
+//!
+//! # Cost
+//!
+//! The solver contracts *every* cycle of the best-incoming-edge graph in
+//! one O(E) round and loops over reusable buffers, so a solve costs
+//! O(E · rounds), with a handful of rounds on real family graphs. Tie
+//! enumeration adds two O(E) passes and one solve per tied child. Both
+//! pick exactly the edges [`reference`] picks: the best incoming edge is
+//! always the first minimal one in edge-list order, and every reduced
+//! weight is computed by the same subtractions in the same order (see
+//! the `edmonds` module). [`DiGraph::in_edges`] and
+//! [`DiGraph::out_edges`] are O(E) scans; the solvers never call them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +41,7 @@
 mod digraph;
 mod edmonds;
 mod forest;
+pub mod reference;
 mod ties;
 mod unionfind;
 
