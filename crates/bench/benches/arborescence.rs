@@ -38,7 +38,7 @@ fn complete_graph(n: usize, levels: Option<u64>) -> DiGraph {
 }
 
 fn bench_arborescence(c: &mut Criterion) {
-    let smoke = std::env::var_os("ROCK_BENCH_SMOKE").is_some();
+    let smoke = rock_bench::smoke();
     let sizes: &[usize] =
         if smoke { &[8, 16, 32, 64] } else { &[8, 16, 32, 64, 128, 256, 400, 585] };
     for (kind, levels) in [("distinct", None), ("tie_heavy", Some(8))] {

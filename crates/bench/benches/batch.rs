@@ -2,7 +2,7 @@
 //! full checkpoint-writing pipeline) and the resume win — a warm second
 //! pass that restores every stage from the artifact store instead of
 //! recomputing. A machine-readable `BENCH_batch.json` summary is written
-//! at the workspace root.
+//! at the workspace root (under `target/` in smoke mode).
 //!
 //! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke).
 
@@ -11,14 +11,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rock_bench::{smoke, write_bench_json};
 use rock_binary::image_to_bytes;
 use rock_core::suite::{datasource_example, streams_example, stress_program, Benchmark};
 use rock_core::{Parallelism, RockConfig};
 use rock_supervisor::{ArtifactStore, JobOutcome, StdVfs, Supervisor, SupervisorOptions, Vfs};
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 /// The job mix: the two worked examples plus a stress shape.
 fn jobs() -> Vec<(String, Vec<u8>)> {
@@ -223,9 +220,8 @@ fn emit_bench_json(_c: &mut Criterion) {
         speedup = cold / warm.max(1e-6),
         restored = restored_stages,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
-    fs::write(path, &json).expect("write BENCH_batch.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_bench_json("BENCH_batch.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
     // The storage trait must stay free: one virtual dispatch against a
     // multi-microsecond syscall. Enforced in CI (smoke mode, release).
     if smoke() {

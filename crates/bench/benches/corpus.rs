@@ -17,18 +17,14 @@
 //! `ROCK_BENCH_SMOKE=1` for the CI subset, which also *enforces* the
 //! hit-rate and speedup floors.
 
-use std::fs;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rock_bench::{smoke, write_bench_json};
 use rock_core::suite::corpus_member;
 use rock_core::{CorpusCache, CorpusStats, Parallelism, Reconstruction, Rock, RockConfig};
 use rock_loader::LoadedBinary;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 fn config(par: Parallelism) -> RockConfig {
     RockConfig::paper().with_parallelism(par).with_canonical_calls()
@@ -211,9 +207,8 @@ fn emit_bench_json(_c: &mut Criterion) {
         fifty = shape_json("overlap_50", &overlap50),
         high = shape_json("overlap_high", &high),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_corpus.json");
-    fs::write(path, &json).expect("write BENCH_corpus.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_bench_json("BENCH_corpus.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 
     if smoke() {
         // The CI floors: dedup must stay worth having.

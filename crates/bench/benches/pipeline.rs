@@ -2,20 +2,17 @@
 //! small structurally-resolved binary, the echoparams showcase, and the
 //! two largest families (Smoothing, Analyzer) — plus the §6.1
 //! "Skype-scale" stress shape, serial vs. parallel, with a per-stage
-//! [`rock_core::StageTimings`] breakdown.
+//! `--timings` breakdown ([`rock_core::render_timings`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rock_bench::{smoke, write_bench_json};
 use rock_core::suite::{benchmark, stress_program};
-use rock_core::{Parallelism, Rock, RockConfig, TraceLevel};
+use rock_core::{render_timings, Parallelism, Rock, RockConfig, TimingsFormat, TraceLevel};
 use rock_loader::LoadedBinary;
 use rock_trace::Tracer;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("rock_reconstruct");
@@ -69,7 +66,8 @@ fn bench_parallelism(c: &mut Criterion) {
     {
         let config = RockConfig::paper().with_parallelism(parallelism);
         let recon = Rock::new(config).reconstruct(&loaded);
-        println!("\nstress_program(3, 3, 3) [{label}]\n{}", recon.timings);
+        let timings = render_timings(&recon.timings, &recon.metrics, TimingsFormat::Text);
+        println!("\nstress_program(3, 3, 3) [{label}]\n{timings}");
     }
 }
 
@@ -103,8 +101,9 @@ fn bench_distance_cache(c: &mut Criterion) {
 /// here must match the plain groups above; the per-level variants bound
 /// the cost of span capture from stage-only up to full per-item
 /// granularity. Medians land in `BENCH_trace.json` at the workspace
-/// root; under `ROCK_BENCH_SMOKE=1` the run doubles as a CI guard that
-/// fails if `sampled` (the production default) costs more than 10%.
+/// root; under `ROCK_BENCH_SMOKE=1` they go to `target/` instead and the
+/// run doubles as a CI guard that fails if `sampled` (the production
+/// default) costs more than 10%.
 fn bench_trace_overhead(c: &mut Criterion) {
     let bench = stress_program(3, 3, 3);
     let compiled = bench.compile().expect("stress program compiles");
@@ -209,9 +208,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
          \"levels\": {{\n{rows}  }},\n  \
          \"metrics_doc_bytes\": {metrics_bytes}\n}}\n",
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(path, &json).expect("write BENCH_trace.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_bench_json("BENCH_trace.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 
     // CI smoke guard: the production default must stay cheap. The full
     // re-record targets <5%; the smoke bound is looser because smoke runs

@@ -3,7 +3,7 @@
 //! directly on a `Supervisor` — plus admission-path throughput for
 //! typed rejections (the cost of saying no under overload). A
 //! machine-readable `BENCH_serve.json` summary is written at the
-//! workspace root.
+//! workspace root (under `target/` in smoke mode).
 //!
 //! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke).
 
@@ -12,15 +12,12 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rock_bench::{smoke, write_bench_json};
 use rock_binary::image_to_bytes;
 use rock_core::suite::streams_example;
 use rock_serve::wire::Response;
 use rock_serve::{ServeClient, ServeConfig, Server};
 use rock_supervisor::{ArtifactStore, Supervisor};
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 struct Scratch(PathBuf);
 
@@ -176,9 +173,8 @@ fn emit_bench_json(_c: &mut Criterion) {
          \"daemon_overhead_ms\":{:.3},\"iters\":{iters}}}\n",
         rt - dx
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    fs::write(path, &json).expect("write BENCH_serve.json");
-    eprintln!("BENCH_serve.json: {json}");
+    let path = write_bench_json("BENCH_serve.json", &json);
+    eprintln!("{}: {json}", path.display());
 }
 
 criterion_group!(

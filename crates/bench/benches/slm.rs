@@ -2,7 +2,8 @@
 //! sequence scoring and pairwise divergence, as a function of training
 //! volume and model depth — plus the arena-vs-seed comparison on real
 //! `stress_program(3, 3, 3)` tracelets, with a machine-readable
-//! `BENCH_slm.json` summary written at the workspace root.
+//! `BENCH_slm.json` summary written at the workspace root (under
+//! `target/` in smoke mode).
 //!
 //! Set `ROCK_BENCH_SMOKE=1` to run a tiny subset (CI smoke).
 
@@ -11,21 +12,19 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rock_analysis::{extract_tracelets, AnalysisConfig, Event};
+use rock_bench::{smoke, write_bench_json};
 use rock_core::suite::stress_program;
 use rock_core::{Parallelism, Rock, RockConfig};
 use rock_loader::LoadedBinary;
 use rock_slm::reference::{reference_kl_divergence, ReferenceSlm};
 use rock_slm::{kl_divergence, Slm};
+use rock_trace::names;
 
 /// Serial cold-cache distance stage on `stress_program(3, 3, 3)` as
 /// measured at the PR 1 head on the reference container (median of 4
 /// runs). The JSON report cites this so the arena speedup is explicit;
 /// on a different host the ratio is only indicative.
 const PR1_DISTANCE_STAGE_MS: f64 = 1.33;
-
-fn smoke() -> bool {
-    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
-}
 
 /// Deterministic pseudo-random tracelet corpus over a small alphabet.
 fn corpus(sequences: usize, len: usize, salt: u64) -> Vec<Vec<u8>> {
@@ -233,14 +232,14 @@ fn emit_bench_json(_c: &mut Criterion) {
     let config = RockConfig::paper().with_parallelism(Parallelism::Serial);
     let mut distance_ms = Vec::new();
     let mut training_ms = Vec::new();
-    let mut timings = None;
+    let mut metrics = None;
     for _ in 0..runs {
         let recon = Rock::new(config).reconstruct(&loaded);
         distance_ms.push(ms(recon.timings.distances));
         training_ms.push(ms(recon.timings.training));
-        timings = Some(recon.timings);
+        metrics = Some(recon.metrics);
     }
-    let t = timings.expect("at least one run");
+    let m = metrics.expect("at least one run");
     let distance_median = median(&distance_ms);
     let speedup = PR1_DISTANCE_STAGE_MS / distance_median;
 
@@ -278,18 +277,17 @@ fn emit_bench_json(_c: &mut Criterion) {
         mode = if smoke() { "smoke" } else { "full" },
         baseline = PR1_DISTANCE_STAGE_MS,
         training_median = median(&training_ms),
-        slms = t.slm_count,
-        nodes = t.slm_nodes,
-        edges = t.slm_edges,
-        bytes = t.slm_bytes,
-        unique = t.slm_unique_words,
-        total = t.slm_total_words,
-        misses = t.cache_misses,
+        slms = m.counter(names::SLM_MODELS_TRAINED),
+        nodes = m.counter(names::SLM_ARENA_NODES),
+        edges = m.counter(names::SLM_ARENA_EDGES),
+        bytes = m.counter(names::SLM_ARENA_BYTES),
+        unique = m.counter(names::SLM_WORDS_UNIQUE),
+        total = m.counter(names::SLM_WORDS_TOTAL),
+        misses = m.counter(names::DISTANCES_CACHE_MISS),
         models = arena.len(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slm.json");
-    std::fs::write(path, &json).expect("write BENCH_slm.json");
-    println!("\nwrote {path}:\n{json}");
+    let path = write_bench_json("BENCH_slm.json", &json);
+    println!("\nwrote {}:\n{json}", path.display());
 }
 
 criterion_group!(

@@ -17,9 +17,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+
 use rock_core::suite::Benchmark;
 use rock_core::{evaluate, Evaluation, Rock, RockConfig};
 use rock_loader::LoadedBinary;
+
+/// Whether the benches run their CI smoke subset (`ROCK_BENCH_SMOKE`
+/// set): fewer samples, smaller workloads, and the CI gates enforced.
+pub fn smoke() -> bool {
+    std::env::var_os("ROCK_BENCH_SMOKE").is_some()
+}
+
+/// Writes a bench summary named `file` and returns where it went. A full
+/// run writes it at the workspace root, next to the committed record; a
+/// smoke run writes it under `target/`, so a CI subset never overwrites
+/// a full-mode record.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_bench_json(file: &str, json: &str) -> PathBuf {
+    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let dir = if smoke() { root.join("target") } else { root };
+    std::fs::create_dir_all(&dir).expect("create bench output dir");
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
 
 /// Compiles, strips, loads, reconstructs and evaluates one benchmark.
 ///

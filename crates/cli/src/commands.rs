@@ -8,23 +8,19 @@ use std::sync::Arc;
 use rock_binary::{image_from_bytes, image_to_bytes, Addr, BinaryImage};
 use rock_budget::RetryPolicy;
 use rock_core::suite::{all_benchmarks, benchmark};
-use rock_core::{evaluate, render_table2, Parallelism, Rock, RockConfig, Table2Row};
+use rock_core::{
+    evaluate, json_counter_fields, render_layers, render_table2, render_timings, Parallelism, Rock,
+    RockConfig, StageTimings, Table2Row, TimingsFormat,
+};
 use rock_loader::LoadedBinary;
 use rock_slm::Metric;
 use rock_supervisor::{ArtifactStore, StdVfs, Supervisor, SupervisorOptions};
 use rock_trace::{
-    chrome_trace_json, validate_chrome_trace, validate_metrics_doc, TraceLevel, Tracer,
+    chrome_trace_json, validate_chrome_trace, validate_metrics_doc, MetricsRegistry, TraceLevel,
+    Tracer,
 };
 
 type CliResult = Result<(), Box<dyn Error>>;
-
-/// How `--timings[=json]` renders (shared by `reconstruct` and `batch`;
-/// see [`emit_timings`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TimingsFormat {
-    Text,
-    Json,
-}
 
 /// Parses a `--timings` / `--timings=json` flag occurrence.
 fn parse_timings_flag(arg: &str) -> Result<TimingsFormat, Box<dyn Error>> {
@@ -37,21 +33,28 @@ fn parse_timings_flag(arg: &str) -> Result<TimingsFormat, Box<dyn Error>> {
     }
 }
 
-/// The one timings formatter: `reconstruct` and `batch` both go through
-/// here, so the two surfaces can never drift apart again. `label` tags
-/// batch per-job lines; empty for single reconstructions.
-fn emit_timings(label: &str, timings: &rock_core::StageTimings, format: TimingsFormat) {
+/// Prints one run's `--timings` report through the shared renderer.
+/// `label` tags batch per-job reports; empty for single reconstructions.
+fn emit_timings(
+    label: &str,
+    timings: &StageTimings,
+    metrics: &MetricsRegistry,
+    format: TimingsFormat,
+) {
+    let report = render_timings(timings, metrics, format);
     match format {
-        TimingsFormat::Text => {
-            if !label.is_empty() {
-                println!("[{label}]");
-            }
-            println!("{timings}");
-        }
-        TimingsFormat::Json if label.is_empty() => println!("{}", timings.to_json()),
-        TimingsFormat::Json => {
-            println!("{{\"job\":\"{label}\",\"timings\":{}}}", timings.to_json());
-        }
+        _ if label.is_empty() => println!("{report}"),
+        TimingsFormat::Text => println!("[{label}]\n{report}"),
+        TimingsFormat::Json => println!("{{\"job\":\"{label}\",\"timings\":{report}}}"),
+    }
+}
+
+/// Prints the runtime-layer lines of a batch's or daemon's `totals`
+/// under `title` (nothing when no layer saw traffic).
+fn emit_layer_totals(title: &str, totals: &MetricsRegistry) {
+    let lines = render_layers(totals);
+    if !lines.is_empty() {
+        print!("{title}:\n{lines}");
     }
 }
 
@@ -409,7 +412,7 @@ fn cmd_reconstruct(args: &[String]) -> CliResult {
         println!("({} types, metric {metric})", recon.hierarchy.len());
     }
     if let Some(format) = timings {
-        emit_timings("", &recon.timings, format);
+        emit_timings("", &recon.timings, &recon.metrics, format);
     }
     if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
         write_trace(path, tracer)?;
@@ -666,67 +669,46 @@ fn cmd_batch(args: &[String]) -> Result<u8, Box<dyn Error>> {
     if let (Some(path), Some(tracer)) = (&trace_path, &tracer) {
         write_trace(path, tracer)?;
     }
+    // Batch-wide totals: the corpus cache over every job, and the one
+    // incremental preload/flush cycle around the batch.
+    let mut totals = MetricsRegistry::new();
     if let Some(corpus) = &corpus {
-        let s = corpus.stats();
-        println!(
-            "corpus: tracelets {}/{} hit, slms {}/{} hit, distances {}/{} hit, \
-             liftings {}/{} hit ({:.1}% overall), \
-             {} bytes stored, {} corrupt entries dropped, {} evicted",
-            s.tracelet_hits,
-            s.tracelet_hits + s.tracelet_misses,
-            s.slm_hits,
-            s.slm_hits + s.slm_misses,
-            s.distance_hits,
-            s.distance_hits + s.distance_misses,
-            s.lifting_hits,
-            s.lifting_hits + s.lifting_misses,
-            s.hit_rate() * 100.0,
-            s.bytes_stored,
-            s.corrupt_dropped,
-            s.evicted,
-        );
+        corpus.stats().record(&mut totals);
     }
     if let Some(incr) = &batch.incr {
-        println!(
-            "incr: {} preloaded, {} flushed, {} unchanged, {} corrupt skipped, {} io errors",
-            incr.preloaded, incr.flushed, incr.unchanged, incr.corrupt_skipped, incr.io_errors,
-        );
+        incr.record(&mut totals);
     }
+    emit_layer_totals("batch totals", &totals);
     if let Some(format) = timings {
         for job in &batch.jobs {
             if let rock_supervisor::JobOutput::Full(recon) = &job.output {
-                emit_timings(&job.report.name, &recon.timings, format);
+                emit_timings(&job.report.name, &recon.timings, &job.metrics, format);
             }
         }
         let restored: usize = batch.jobs.iter().map(|j| j.report.restored.len()).sum();
         let run = batch.jobs.len();
         let ms = elapsed.as_millis().max(1);
-        let incr_text = batch
-            .incr
-            .map(|i| format!(", incr {} preloaded / {} flushed", i.preloaded, i.flushed))
-            .unwrap_or_default();
-        let incr_json = batch
-            .incr
-            .map(|i| {
-                format!(
-                    ",\"incr_preloaded\":{},\"incr_flushed\":{},\"incr_unchanged\":{},\
-                     \"incr_corrupt_skipped\":{},\"incr_io_errors\":{}",
-                    i.preloaded, i.flushed, i.unchanged, i.corrupt_skipped, i.io_errors
-                )
-            })
-            .unwrap_or_default();
         match format {
-            TimingsFormat::Text => println!(
-                "batch: {run} jobs in {ms} ms ({:.1} jobs/s), {restored} stages restored from \
-                 checkpoints{incr_text}, exit code {}",
-                run as f64 * 1000.0 / ms as f64,
-                batch.exit_code
-            ),
-            TimingsFormat::Json => println!(
-                "{{\"batch\":{{\"jobs\":{run},\"elapsed_ms\":{ms},\"stages_restored\":\
-                 {restored}{incr_json},\"exit_code\":{}}}}}",
-                batch.exit_code
-            ),
+            TimingsFormat::Text => {
+                let incr = batch
+                    .incr
+                    .map(|i| format!(", incr {} preloaded / {} flushed", i.preloaded, i.flushed))
+                    .unwrap_or_default();
+                println!(
+                    "batch: {run} jobs in {ms} ms ({:.1} jobs/s), {restored} stages restored \
+                     from checkpoints{incr}, exit code {}",
+                    run as f64 * 1000.0 / ms as f64,
+                    batch.exit_code
+                );
+            }
+            TimingsFormat::Json => {
+                let counters = json_counter_fields(&totals);
+                println!(
+                    "{{\"batch\":{{\"jobs\":{run},\"elapsed_ms\":{ms},\"stages_restored\":\
+                     {restored},\"exit_code\":{}{counters}}}}}",
+                    batch.exit_code
+                );
+            }
         }
     }
     Ok(batch.exit_code)
@@ -799,7 +781,6 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
     }
     let tracer = trace_path.as_ref().map(|_| Arc::new(Tracer::new()));
     cfg.tracer = tracer.clone();
-    let incremental = cfg.options.incremental;
     rock_serve::signals::install_termination_handler();
     let server = rock_serve::Server::bind(cfg, &addr)?;
     let handle = server.handle();
@@ -822,13 +803,7 @@ fn cmd_serve(args: &[String]) -> Result<u8, Box<dyn Error>> {
         summary.protocol_errors,
         summary.panics_contained,
     );
-    if incremental {
-        let incr = handle.incr_stats();
-        println!(
-            "incr: {} preloaded, {} flushed, {} unchanged, {} corrupt skipped, {} io errors",
-            incr.preloaded, incr.flushed, incr.unchanged, incr.corrupt_skipped, incr.io_errors,
-        );
-    }
+    emit_layer_totals("daemon totals", &handle.metrics());
     Ok(0)
 }
 

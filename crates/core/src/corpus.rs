@@ -51,6 +51,7 @@ use rock_analysis::canon::{CachedCtors, CachedExec, ExecCache, Label};
 use rock_analysis::{AnalysisConfig, CachedSub, Event};
 use rock_binary::Addr;
 use rock_slm::{GlobalDistanceStore, Metric, ModelKey, Slm};
+use rock_trace::{names, MetricsRegistry};
 
 use crate::faultplan::FaultPlan;
 
@@ -242,6 +243,26 @@ impl CorpusStats {
             bytes_stored: self.bytes_stored.saturating_sub(earlier.bytes_stored),
             corrupt_dropped: self.corrupt_dropped - earlier.corrupt_dropped,
             evicted: self.evicted - earlier.evicted,
+        }
+    }
+
+    /// Adds these counts to `metrics` under the `corpus.*` names — the
+    /// only code that writes them into a registry.
+    pub fn record(&self, metrics: &mut MetricsRegistry) {
+        for (name, v) in [
+            (names::CORPUS_TRACELET_HIT, self.tracelet_hits),
+            (names::CORPUS_TRACELET_MISS, self.tracelet_misses),
+            (names::CORPUS_SLM_HIT, self.slm_hits),
+            (names::CORPUS_SLM_MISS, self.slm_misses),
+            (names::CORPUS_DISTANCE_HIT, self.distance_hits),
+            (names::CORPUS_DISTANCE_MISS, self.distance_misses),
+            (names::CORPUS_LIFTING_HIT, self.lifting_hits),
+            (names::CORPUS_LIFTING_MISS, self.lifting_misses),
+            (names::CORPUS_BYTES_STORED, self.bytes_stored),
+            (names::CORPUS_CORRUPT_DROPPED, self.corrupt_dropped),
+            (names::CORPUS_EVICTED, self.evicted),
+        ] {
+            metrics.add(name, v);
         }
     }
 

@@ -1,15 +1,17 @@
 //! Plain counters describing incremental sub-artifact activity.
 //!
 //! The incremental persistence layer lives in `rock-supervisor` (its
-//! `incr` module); the counter struct lives here (mirroring
-//! [`crate::CorpusStats`] and [`crate::StoreStats`]) so that
-//! [`crate::StageTimings`] can absorb incremental deltas without a
-//! circular crate dependency.
+//! `incr` module); the counter struct lives here, next to
+//! [`crate::CorpusStats`] and [`crate::StoreStats`], so every layer
+//! above it can name it. [`IncrStats::record`] puts the counts into a
+//! metrics registry.
+
+use rock_trace::{names, MetricsRegistry};
 
 /// Counters for one incremental preload/flush cycle.
 ///
 /// Like store counters, these are observability only: they ride in
-/// timings, metrics documents, and report lines, but never enter the
+/// batch and daemon registries and report lines, but never enter the
 /// pipeline's own registry or diagnostics — an incremental run stays
 /// byte-identical to a cold run everywhere that matters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,9 +40,19 @@ impl IncrStats {
         self.io_errors += other.io_errors;
     }
 
-    /// True when any counter is non-zero.
-    pub fn has_activity(&self) -> bool {
-        *self != IncrStats::default()
+    /// Adds these counts to `metrics` under the `incr.*` names — the
+    /// only code that writes them into a registry. Adding (not setting)
+    /// lets a daemon fold in every flush.
+    pub fn record(&self, metrics: &mut MetricsRegistry) {
+        for (name, v) in [
+            (names::INCR_PRELOADED, self.preloaded),
+            (names::INCR_FLUSHED, self.flushed),
+            (names::INCR_UNCHANGED, self.unchanged),
+            (names::INCR_CORRUPT_SKIPPED, self.corrupt_skipped),
+            (names::INCR_IO_ERRORS, self.io_errors),
+        ] {
+            metrics.add(name, v);
+        }
     }
 }
 
@@ -56,12 +68,5 @@ mod tests {
             a,
             IncrStats { preloaded: 5, flushed: 1, corrupt_skipped: 1, ..Default::default() }
         );
-    }
-
-    #[test]
-    fn activity_gate() {
-        assert!(!IncrStats::default().has_activity());
-        assert!(IncrStats { preloaded: 1, ..Default::default() }.has_activity());
-        assert!(IncrStats { io_errors: 1, ..Default::default() }.has_activity());
     }
 }

@@ -71,4 +71,6 @@ pub use report::{render_table2, render_table2_markdown, Table2Row};
 pub use rock_trace::TraceLevel;
 pub use staged::{RestoreError, StageId, StagedRun};
 pub use storestats::StoreStats;
-pub use timings::StageTimings;
+pub use timings::{
+    json_counter_fields, render_layers, render_timings, StageTimings, TimingsFormat,
+};

@@ -58,14 +58,15 @@ pub struct Reconstruction {
     /// Behavioral distances computed for surviving candidate edges:
     /// `(parent, child) -> distance`.
     pub distances: BTreeMap<(Addr, Addr), f64>,
-    /// Per-stage wall-clock and work counters for this run.
+    /// Per-stage wall clock for this run (work counts live in
+    /// [`Reconstruction::metrics`]).
     pub timings: StageTimings,
     /// Every contained fault of the run, in deterministic record order.
     pub diagnostics: Vec<StageError>,
     /// How much of the binary the run actually covered.
     pub coverage: Coverage,
-    /// The run's full metrics registry (counters + histograms); the
-    /// [`StageTimings`] counters are a fixed projection of it. Contains
+    /// The run's full metrics registry (counters + histograms), the
+    /// single home of every pipeline work count. Contains
     /// only deterministic work counts — never wall-clock values — so two
     /// runs of the same binary compare equal at any thread count.
     pub metrics: MetricsRegistry,
@@ -695,16 +696,18 @@ mod tests {
         let (loaded, _) = streams_optimized();
         let recon = Rock::new(RockConfig::paper()).reconstruct(&loaded);
         let t = recon.timings;
-        assert_eq!(t.slm_count, 3);
-        assert!(t.slm_nodes > 0 && t.slm_edges > 0 && t.slm_bytes > 0);
-        assert!(t.slm_total_words > 0);
-        assert!(t.slm_unique_words as u64 <= t.slm_total_words, "dedup can only shrink");
-        assert!(t.edge_count >= recon.distances.len());
+        let c = |name| recon.metrics.counter(name);
+        assert_eq!(c(names::SLM_MODELS_TRAINED), 3);
+        let arena = [names::SLM_ARENA_NODES, names::SLM_ARENA_EDGES, names::SLM_ARENA_BYTES];
+        assert!(arena.into_iter().all(|name| c(name) > 0));
+        assert!(c(names::SLM_WORDS_TOTAL) > 0);
+        assert!(c(names::SLM_WORDS_UNIQUE) <= c(names::SLM_WORDS_TOTAL), "dedup can only shrink");
+        assert!(c(names::DISTANCES_EDGES) as usize >= recon.distances.len());
         assert!(t.threads >= 1);
         assert!(t.total >= t.analysis);
-        assert_eq!(t.foreign_candidates, 0);
+        assert_eq!(c(names::DISTANCES_FOREIGN_CANDIDATES), 0);
         // Every lifted edge came through the cache exactly once.
-        assert_eq!(t.cache_misses as usize, recon.distances.len());
+        assert_eq!(c(names::DISTANCES_CACHE_MISS) as usize, recon.distances.len());
     }
 
     #[test]
@@ -713,10 +716,11 @@ mod tests {
         let rock = Rock::new(RockConfig::paper());
         let first = rock.reconstruct(&loaded);
         let second = rock.reconstruct(&loaded);
-        assert!(first.timings.cache_misses > 0);
+        let misses = |r: &Reconstruction| r.metrics.counter(names::DISTANCES_CACHE_MISS);
+        assert!(misses(&first) > 0);
         // The second pass finds every pair already cached.
-        assert_eq!(second.timings.cache_misses, 0);
-        assert_eq!(second.timings.cache_hits, first.timings.cache_misses);
+        assert_eq!(misses(&second), 0);
+        assert_eq!(second.metrics.counter(names::DISTANCES_CACHE_HIT), misses(&first));
         assert_eq!(first.distances, second.distances);
     }
 
@@ -767,10 +771,11 @@ mod tests {
         let recon = Rock::new(RockConfig::paper()).reconstruct(&loaded);
         assert!(recon.diagnostics.is_empty(), "clean run: {:?}", recon.diagnostics);
         assert!(recon.coverage.is_complete(), "clean run: {:?}", recon.coverage);
-        assert_eq!(recon.timings.skipped_functions, 0);
-        assert_eq!(recon.timings.fuel_exhausted, 0);
-        assert_eq!(recon.timings.rejected_vtables, 0);
-        assert_eq!(recon.timings.diagnostics_bytes, 0);
+        let c = |name| recon.metrics.counter(name);
+        assert_eq!(c(names::ANALYSIS_FUNCTIONS_SKIPPED), 0);
+        assert_eq!(c(names::ANALYSIS_FUEL_EXHAUSTED), 0);
+        assert_eq!(c(names::LOAD_VTABLES_REJECTED), 0);
+        assert_eq!(c(names::DIAGNOSTICS_BYTES), 0);
     }
 
     #[test]
@@ -780,7 +785,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new().panic_on(victim));
         let recon = Rock::new(RockConfig::paper()).with_fault_plan(plan).reconstruct(&loaded);
         assert_eq!(recon.coverage.functions_skipped, 1);
-        assert_eq!(recon.timings.skipped_functions, 1);
+        assert_eq!(recon.metrics.counter(names::ANALYSIS_FUNCTIONS_SKIPPED), 1);
         let e = recon
             .diagnostics
             .iter()
@@ -788,7 +793,7 @@ mod tests {
             .expect("analysis fault must be recorded");
         assert_eq!(e.subject, Subject::Function(victim));
         assert_eq!(e.severity, Severity::Error);
-        assert!(recon.timings.diagnostics_bytes > 0);
+        assert!(recon.metrics.counter(names::DIAGNOSTICS_BYTES) > 0);
         // The rest of the binary is still reconstructed.
         assert_eq!(recon.hierarchy.len(), 3);
     }

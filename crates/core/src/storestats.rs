@@ -1,17 +1,19 @@
 //! Plain counters describing artifact-store activity.
 //!
 //! The store itself lives in `rock-supervisor`; the counter struct
-//! lives here (mirroring [`crate::CorpusStats`]) so that
-//! [`crate::StageTimings`] can absorb store deltas without a circular
-//! crate dependency. All fields are per-process totals; use
-//! [`StoreStats::since`] for per-job deltas.
+//! lives here, next to [`crate::CorpusStats`], so every layer above the
+//! store can name it. All fields are per-process totals; use
+//! [`StoreStats::since`] for per-job deltas and [`StoreStats::record`]
+//! to put them into a metrics registry.
+
+use rock_trace::{names, MetricsRegistry};
 
 /// Counters for one artifact store (or a delta between two snapshots).
 ///
-/// Store counters are observability only: they ride in timings,
-/// metrics documents, and job reports, but never enter the pipeline's
-/// own registry or diagnostics — warm and cold runs stay byte-identical
-/// there.
+/// Store counters are observability only: they ride in job-level
+/// metrics documents, `--timings`, and job reports, but never enter
+/// the pipeline's own registry or diagnostics — warm and cold runs
+/// stay byte-identical there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Orphaned `.art.tmp` files removed (open-time sweep or scrub).
@@ -47,6 +49,23 @@ impl StoreStats {
             corrupt_detected: self.corrupt_detected - earlier.corrupt_detected,
             checkpoints_skipped: self.checkpoints_skipped - earlier.checkpoints_skipped,
             retry_backoff_ms: self.retry_backoff_ms - earlier.retry_backoff_ms,
+        }
+    }
+
+    /// Adds these counts to `metrics` under the `store.*` names — the
+    /// only code that writes them into a registry.
+    pub fn record(&self, metrics: &mut MetricsRegistry) {
+        for (name, v) in [
+            (names::STORE_TMP_SWEPT, self.tmp_swept),
+            (names::STORE_WRITE_RETRIES, self.write_retries),
+            (names::STORE_WRITE_FAILURES, self.write_failures),
+            (names::STORE_READ_RETRIES, self.read_retries),
+            (names::STORE_READ_FAILURES, self.read_failures),
+            (names::STORE_CORRUPT_DETECTED, self.corrupt_detected),
+            (names::STORE_CHECKPOINTS_SKIPPED, self.checkpoints_skipped),
+            (names::STORE_RETRY_BACKOFF_MS, self.retry_backoff_ms),
+        ] {
+            metrics.add(name, v);
         }
     }
 

@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rock_core::{CorpusCache, FaultPlan, IncrStats, RockConfig};
+use rock_core::{CorpusCache, FaultPlan, RockConfig};
 use rock_supervisor::wire::{
     JobState, RejectReason, Request, Response, SERVE_MIN_PROTOCOL_VERSION, SERVE_PROTOCOL_VERSION,
 };
@@ -169,7 +169,6 @@ struct Inner {
     metrics: Mutex<MetricsRegistry>,
     faults: Mutex<BTreeMap<String, Arc<FaultPlan>>>,
     poisoned: Mutex<BTreeSet<String>>,
-    incr: Mutex<IncrStats>,
 }
 
 impl Inner {
@@ -369,7 +368,7 @@ impl Inner {
         // everything every earlier tenant computed.
         if self.cfg.options.incremental {
             let delta = sup.flush_incremental();
-            self.incr.lock().expect("serve incr stats poisoned").add(&delta);
+            delta.record(&mut self.metrics.lock().expect("serve metrics poisoned"));
         }
         Slot::Done {
             exit_code: result.report.exit_code(),
@@ -433,10 +432,11 @@ impl ServerHandle {
         self.inner.store.stats()
     }
 
-    /// Cumulative sub-artifact preload/flush accounting (only moves
-    /// when [`SupervisorOptions::incremental`] is on).
-    pub fn incr_stats(&self) -> IncrStats {
-        *self.inner.incr.lock().expect("serve incr stats poisoned")
+    /// A snapshot of the daemon's registry: the `serve.*` counters and,
+    /// with [`SupervisorOptions::incremental`] on, the cumulative
+    /// `incr.*` preload/flush counters.
+    pub fn metrics(&self) -> MetricsRegistry {
+        self.inner.metrics.lock().expect("serve metrics poisoned").clone()
     }
 
     /// Attaches a [`FaultPlan`] to every future job submitted under
@@ -491,11 +491,10 @@ impl Server {
         // before any tenant connects: a resubmitted (or patched) image
         // then reuses every function/type/pair/family artifact an
         // earlier daemon over this store already computed.
-        let incr = if cfg.options.incremental {
-            rock_supervisor::preload_subartifacts(&store, &corpus)
-        } else {
-            IncrStats::default()
-        };
+        let mut metrics = MetricsRegistry::new();
+        if cfg.options.incremental {
+            rock_supervisor::preload_subartifacts(&store, &corpus).record(&mut metrics);
+        }
         let inner = Arc::new(Inner {
             cfg,
             store,
@@ -510,10 +509,9 @@ impl Server {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(false),
-            metrics: Mutex::new(MetricsRegistry::new()),
+            metrics: Mutex::new(metrics),
             faults: Mutex::new(BTreeMap::new()),
             poisoned: Mutex::new(BTreeSet::new()),
-            incr: Mutex::new(incr),
         });
         Ok(Server { inner, listener })
     }
@@ -594,7 +592,7 @@ impl Server {
         // computed after its own flush (shared-cache cross-talk).
         if inner.cfg.options.incremental {
             let delta = rock_supervisor::flush_subartifacts(&inner.store, &inner.corpus);
-            inner.incr.lock().expect("serve incr stats poisoned").add(&delta);
+            delta.record(&mut inner.metrics.lock().expect("serve metrics poisoned"));
         }
         Ok(inner.summary())
     }

@@ -69,8 +69,8 @@
 //! The warm ≡ cold invariant holds end to end: preloaded entries only
 //! ever short-circuit work whose outputs are bit-identical to
 //! recomputation (enforced by `tests/incremental_delta.rs`), and
-//! [`IncrStats`] counters ride in timings/metrics only, never in the
-//! pipeline's own registry or diagnostics.
+//! [`IncrStats`] counters ride in batch and daemon totals only, never
+//! in the pipeline's own registry or diagnostics.
 
 use std::collections::HashSet;
 use std::io;

@@ -233,8 +233,7 @@ pub struct JobReport {
     pub roots: usize,
     /// Wall-clock time spent on the job.
     pub elapsed_ms: u64,
-    /// The run's versioned metrics document (pipeline registry plus the
-    /// `supervisor.*` counters), when
+    /// The versioned metrics document of [`JobResult::metrics`], when
     /// [`SupervisorOptions::collect_metrics`] is set. Deterministic work
     /// counts only — no wall-clock values.
     pub metrics: Option<String>,
@@ -417,6 +416,11 @@ pub struct JobResult {
     pub report: JobReport,
     /// The reconstruction (or fallback) itself.
     pub output: JobOutput,
+    /// The job's counters: the emitted reconstruction's pipeline
+    /// registry plus the `supervisor.*`, `corpus.*` and `store.*`
+    /// counters of this job. `--timings` renders it, and with
+    /// [`SupervisorOptions::collect_metrics`] the report embeds it.
+    pub metrics: MetricsRegistry,
 }
 
 /// The outcome of a whole batch.
@@ -573,7 +577,11 @@ impl Supervisor {
                 report.outcome = JobOutcome::Failed(format!("unloadable image: {e}"));
                 report.errors = 1;
                 report.elapsed_ms = start.elapsed().as_millis() as u64;
-                return JobResult { report, output: JobOutput::None };
+                return JobResult {
+                    report,
+                    output: JobOutput::None,
+                    metrics: MetricsRegistry::new(),
+                };
             }
         };
         let loaded = LoadedBinary::load_lenient(image);
@@ -697,54 +705,37 @@ impl Supervisor {
             output = JobOutput::StructuralOnly { hierarchy, structural, issues };
         }
 
-        // The job's corpus-tier traffic: a delta against the shared
-        // cache's counters at job start. Folded into the emitted
-        // reconstruction's timings (and the report's metrics doc), but
-        // never into the pipeline's own registry — cold and warm runs
-        // stay byte-identical there.
+        // The job's registry: the emitted reconstruction's pipeline
+        // counters plus the job-level ones — supervisor work, and the
+        // corpus and store deltas against the shared caches' counters at
+        // job start. The job-level counters never enter the pipeline's
+        // own registry, so cold and warm runs stay byte-identical there.
+        let mut metrics = match &output {
+            JobOutput::Full(recon) => recon.metrics.clone(),
+            _ => MetricsRegistry::new(),
+        };
+        metrics.set(names::SUPERVISOR_ATTEMPTS, report.attempts.len() as u64);
+        metrics.set(names::SUPERVISOR_CHECKPOINTS_SAVED, counters.checkpoints_saved);
+        metrics.set(names::SUPERVISOR_STAGES_RESTORED, report.restored.len() as u64);
+        metrics.set(names::SUPERVISOR_BACKOFF_MS, counters.backoff_ms_total);
         if let (Some(corpus), Some(stats0)) = (&self.corpus, &corpus_stats0) {
             let delta = corpus.stats().since(stats0);
-            if let JobOutput::Full(recon) = &mut output {
-                let mut scratch = MetricsRegistry::new();
-                recon.timings.absorb_corpus_stats(&delta, &mut scratch);
-            }
+            delta.record(&mut metrics);
             report.corpus = Some(delta);
         }
-
-        // Same discipline for the store's fault-path counters, attached
-        // only when something actually fired so healthy reports stay
-        // unchanged byte-for-byte.
+        // Store fault-path counters are attached only when something
+        // actually fired, so healthy reports stay unchanged byte-for-byte.
         let mut store_delta = self.store.stats().since(&store_stats0);
         store_delta.checkpoints_skipped = counters.checkpoints_skipped;
         if store_delta.has_activity() || !report.store_incidents.is_empty() {
-            if let JobOutput::Full(recon) = &mut output {
-                let mut scratch = MetricsRegistry::new();
-                recon.timings.absorb_store_stats(&store_delta, &mut scratch);
-            }
+            store_delta.record(&mut metrics);
             report.store = Some(store_delta);
         }
-
         if self.options.collect_metrics {
-            let mut metrics = match &output {
-                JobOutput::Full(recon) => recon.metrics.clone(),
-                _ => MetricsRegistry::new(),
-            };
-            metrics.set(names::SUPERVISOR_ATTEMPTS, report.attempts.len() as u64);
-            metrics.set(names::SUPERVISOR_CHECKPOINTS_SAVED, counters.checkpoints_saved);
-            metrics.set(names::SUPERVISOR_STAGES_RESTORED, report.restored.len() as u64);
-            metrics.set(names::SUPERVISOR_BACKOFF_MS, counters.backoff_ms_total);
-            if let Some(delta) = &report.corpus {
-                let mut t = rock_core::StageTimings::default();
-                t.absorb_corpus_stats(delta, &mut metrics);
-            }
-            if let Some(delta) = &report.store {
-                let mut t = rock_core::StageTimings::default();
-                t.absorb_store_stats(delta, &mut metrics);
-            }
             report.metrics = Some(metrics.to_json());
         }
         report.elapsed_ms = start.elapsed().as_millis() as u64;
-        JobResult { report, output }
+        JobResult { report, output, metrics }
     }
 
     /// Restores persisted sub-artifacts into the attached corpus cache
