@@ -51,8 +51,6 @@ fn bench_parallelism(c: &mut Criterion) {
     for (label, parallelism) in
         [("serial", Parallelism::Serial), ("threads-4", Parallelism::Threads(4))]
     {
-        // A fresh Rock per measured call keeps the distance cache cold,
-        // so both variants do the full quadratic work every iteration.
         let config = RockConfig::paper().with_parallelism(parallelism);
         group.bench_with_input(BenchmarkId::from_parameter(label), &loaded, |b, loaded| {
             b.iter(|| Rock::new(config).reconstruct(std::hint::black_box(loaded)));
@@ -69,29 +67,6 @@ fn bench_parallelism(c: &mut Criterion) {
         let timings = render_timings(&recon.timings, &recon.metrics, TimingsFormat::Text);
         println!("\nstress_program(3, 3, 3) [{label}]\n{timings}");
     }
-}
-
-/// The distance cache's wall-clock contribution: the same binary
-/// reconstructed with a cold cache every iteration vs. a cache warmed by
-/// one prior pass (the repeated-pass shape of ablation sweeps and
-/// `k_most_likely_parents` queries). Warm passes skip every divergence.
-fn bench_distance_cache(c: &mut Criterion) {
-    let bench = stress_program(3, 3, 3);
-    let compiled = bench.compile().expect("stress program compiles");
-    let loaded = LoadedBinary::load(compiled.stripped_image()).expect("loads");
-    let config = RockConfig::paper();
-
-    let mut group = c.benchmark_group("rock_reconstruct_stress_3_3_3_cache");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("cold"), &loaded, |b, loaded| {
-        b.iter(|| Rock::new(config).reconstruct(std::hint::black_box(loaded)));
-    });
-    let warm = Rock::new(config);
-    warm.reconstruct(&loaded); // warm the shared cache once
-    group.bench_with_input(BenchmarkId::from_parameter("warm"), &loaded, |b, loaded| {
-        b.iter(|| warm.reconstruct(std::hint::black_box(loaded)));
-    });
-    group.finish();
 }
 
 /// Tracer overhead guard: the same reconstruction with the tracer
@@ -222,11 +197,5 @@ fn bench_trace_overhead(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_parallelism,
-    bench_distance_cache,
-    bench_trace_overhead
-);
+criterion_group!(benches, bench_pipeline, bench_parallelism, bench_trace_overhead);
 criterion_main!(benches);

@@ -224,7 +224,7 @@ fn median(xs: &[f64]) -> f64 {
 fn emit_bench_json(_c: &mut Criterion) {
     let runs = if smoke() { 2 } else { 5 };
 
-    // Serial, cold-cache reconstructions: the pipeline's own stage
+    // Serial reconstructions, each scoring every pair: the pipeline's own stage
     // timings isolate the distance stage (the PR 1 baseline's unit).
     let bench = stress_program(3, 3, 3);
     let compiled = bench.compile().expect("stress program compiles");
@@ -267,7 +267,7 @@ fn emit_bench_json(_c: &mut Criterion) {
          \"training_stage_median_ms\": {training_median:.3},\n  \
          \"slm_count\": {slms},\n  \"slm_nodes\": {nodes},\n  \"slm_edges\": {edges},\n  \
          \"slm_bytes\": {bytes},\n  \"slm_unique_words\": {unique},\n  \
-         \"slm_total_words\": {total},\n  \"cache_misses\": {misses},\n  \
+         \"slm_total_words\": {total},\n  \"pairs_scored\": {pairs},\n  \
          \"stress_models\": {models},\n  \
          \"train_all_arena_ms\": {train_arena_ms:.3},\n  \
          \"train_all_reference_ms\": {train_reference_ms:.3},\n  \
@@ -283,7 +283,7 @@ fn emit_bench_json(_c: &mut Criterion) {
         bytes = m.counter(names::SLM_ARENA_BYTES),
         unique = m.counter(names::SLM_WORDS_UNIQUE),
         total = m.counter(names::SLM_WORDS_TOTAL),
-        misses = m.counter(names::DISTANCES_CACHE_MISS),
+        pairs = m.counter(names::DISTANCES_PAIRS_SCORED),
         models = arena.len(),
     );
     let path = write_bench_json("BENCH_slm.json", &json);

@@ -10,12 +10,10 @@
 //! cargo run -p rock-bench --bin metric_ablation
 //! ```
 
-use std::sync::Arc;
-
-use rock_bench::run_benchmark_with;
+use rock_bench::run_benchmark;
 use rock_core::suite::all_benchmarks;
-use rock_core::{Rock, RockConfig};
-use rock_slm::{DistanceCache, Metric};
+use rock_core::RockConfig;
+use rock_slm::Metric;
 
 fn main() {
     let benches: Vec<_> =
@@ -29,15 +27,9 @@ fn main() {
 
     let mut totals = vec![(0.0, 0.0); Metric::ALL.len()];
     for bench in &benches {
-        // One distance cache per benchmark (cache keys are vtable
-        // addresses, valid only within one binary): the three metric
-        // passes share every pair divergence they have in common.
-        let cache = Arc::new(DistanceCache::new());
         let mut cells = Vec::new();
         for (mi, metric) in Metric::ALL.iter().enumerate() {
-            let rock =
-                Rock::with_shared_cache(RockConfig::with_metric(*metric), Arc::clone(&cache));
-            let eval = run_benchmark_with(bench, &rock);
+            let eval = run_benchmark(bench, RockConfig::with_metric(*metric));
             totals[mi].0 += eval.with_slm.avg_missing;
             totals[mi].1 += eval.with_slm.avg_added;
             cells.push(format!(

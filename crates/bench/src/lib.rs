@@ -53,24 +53,9 @@ pub fn write_bench_json(file: &str, json: &str) -> PathBuf {
 /// Panics if the benchmark fails to compile or load (suite programs never
 /// should).
 pub fn run_benchmark(bench: &Benchmark, config: RockConfig) -> Evaluation {
-    run_benchmark_with(bench, &Rock::new(config))
-}
-
-/// Like [`run_benchmark`], with a caller-supplied reconstructor.
-///
-/// Lets ablation sweeps pass a [`Rock`] built via
-/// [`Rock::with_shared_cache`] so repeated passes over the same benchmark
-/// (e.g. one per metric) reuse every already-computed pair divergence
-/// instead of recomputing the full distance matrix.
-///
-/// # Panics
-///
-/// Panics if the benchmark fails to compile or load (suite programs never
-/// should).
-pub fn run_benchmark_with(bench: &Benchmark, rock: &Rock) -> Evaluation {
     let compiled = bench.compile().expect("suite benchmarks compile");
     let loaded = LoadedBinary::load(compiled.stripped_image()).expect("compiled images load");
-    let recon = rock.reconstruct(&loaded);
+    let recon = Rock::new(config).reconstruct(&loaded);
     evaluate(&compiled, &recon)
 }
 
@@ -84,18 +69,5 @@ mod tests {
         let eval = run_benchmark(&suite::streams_example(), RockConfig::paper());
         assert_eq!(eval.with_slm.avg_missing, 0.0);
         assert_eq!(eval.with_slm.avg_added, 0.0);
-    }
-
-    #[test]
-    fn shared_cache_carries_across_passes() {
-        let bench = suite::streams_example();
-        let rock = Rock::new(RockConfig::paper());
-        let first = run_benchmark_with(&bench, &rock);
-        let warm = rock.cache().misses();
-        assert!(warm > 0, "first pass must populate the cache");
-        let second = run_benchmark_with(&bench, &rock);
-        assert_eq!(rock.cache().misses(), warm, "second pass must be all hits");
-        assert_eq!(first.with_slm.avg_missing, second.with_slm.avg_missing);
-        assert_eq!(first.with_slm.avg_added, second.with_slm.avg_added);
     }
 }

@@ -7,7 +7,7 @@
 //! every job re-executes, re-trains and re-scores work an earlier job
 //! already did. [`CorpusCache`] is one shared, thread-safe store that a
 //! whole batch attaches to ([`crate::Rock::with_corpus_cache`]), with
-//! three tiers keyed by **content hash** — never by anything
+//! four tiers keyed by **content hash** — never by anything
 //! position-dependent:
 //!
 //! 1. **Executions** — function content label (plus an analysis-config
@@ -18,8 +18,9 @@
 //!    multiset, [`pool_key`]) → the trained SLM, shared by `Arc` so a
 //!    hit reuses the finalized evaluation tables, not just the counts.
 //! 3. **Distances** — `(metric, from-model key, to-model key)` → the
-//!    divergence bits, the corpus-wide layer behind each run's local
-//!    [`rock_slm::DistanceCache`].
+//!    divergence bits. Every pipeline divergence goes through this
+//!    tier, so it is the only distance memo: a run without a corpus
+//!    cache attached computes every pair it scores.
 //! 4. **Liftings** — family lifting key ([`lift_key`]: lifting config +
 //!    the family's member model keys in family order + its weighted
 //!    edge list) → the selected parent forest and tie-variant count.
@@ -50,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use rock_analysis::canon::{CachedCtors, CachedExec, ExecCache, Label};
 use rock_analysis::{AnalysisConfig, CachedSub, Event};
 use rock_binary::Addr;
-use rock_slm::{GlobalDistanceStore, Metric, ModelKey, Slm};
+use rock_slm::{Metric, Slm};
 use rock_trace::{names, MetricsRegistry};
 
 use crate::faultplan::FaultPlan;
@@ -198,7 +199,7 @@ impl<K: Ord + Copy, V: Stored> Shard<K, V> {
     }
 }
 
-/// Monotonic hit/miss/bytes counters for the three tiers.
+/// Monotonic hit/miss/bytes counters for the four tiers.
 ///
 /// All counters are totals since construction; per-job deltas come from
 /// subtracting two [`CorpusStats`] snapshots.
@@ -323,7 +324,7 @@ impl CorpusCache {
     }
 
     /// Creates an empty cache holding at most (about)
-    /// `max_entries_per_tier` entries in each of the three tiers, so a
+    /// `max_entries_per_tier` entries in each of the four tiers, so a
     /// long-running daemon cannot grow without limit. The bound is
     /// enforced per shard (capacity rounds up to a multiple of the
     /// shard count); when a full shard admits a new entry it evicts its
@@ -352,7 +353,8 @@ impl CorpusCache {
         }
     }
 
-    /// Entries stored per tier: `(executions, models, distances)`.
+    /// Entries stored in the first three tiers: `(executions, models,
+    /// distances)`; see [`CorpusCache::lifting_len`] for the fourth.
     pub fn lens(&self) -> (usize, usize, usize) {
         (
             self.execs.iter().map(|m| m.lock().expect("corpus shard poisoned").map.len()).sum(),
@@ -361,8 +363,8 @@ impl CorpusCache {
         )
     }
 
-    /// Entries stored in the lifting tier (kept out of [`lens`] so the
-    /// original three-tier shape stays stable for callers).
+    /// Entries stored in the lifting tier (kept out of [`lens`] so its
+    /// tuple shape stays stable for callers).
     ///
     /// [`lens`]: CorpusCache::lens
     pub fn lifting_len(&self) -> usize {
@@ -525,6 +527,45 @@ impl CorpusCache {
         s.insert_bounded(key, ModelEntry { entry, model }, self.shard_cap, &self.counters);
     }
 
+    /// Looks up the `(metric, from, to)` divergence, verifying the
+    /// stored bits first (a corrupt entry is dropped and counted).
+    pub fn load_distance(&self, metric: Metric, from: ModelKey, to: ModelKey) -> Option<f64> {
+        let key = (metric, from, to);
+        let shard = &self.distances[shard_of(from ^ to.rotate_left(64))];
+        let mut s = shard.lock().expect("corpus shard poisoned");
+        match s.map.get(&key) {
+            None => {
+                self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Some(entry) => match entry.verified().and_then(|b| {
+                let bits: [u8; 8] = b.try_into().ok()?;
+                Some(f64::from_le_bytes(bits))
+            }) {
+                Some(d) => {
+                    self.counters.distance_hits.fetch_add(1, Ordering::Relaxed);
+                    Some(d)
+                }
+                None => {
+                    let freed = entry.bytes.len() as u64;
+                    s.map.remove(&key);
+                    self.counters.bytes_stored.fetch_sub(freed, Ordering::Relaxed);
+                    self.counters.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            },
+        }
+    }
+
+    /// Stores a freshly computed `(metric, from, to)` divergence.
+    pub fn store_distance(&self, metric: Metric, from: ModelKey, to: ModelKey, d: f64) {
+        let key = (metric, from, to);
+        let shard = &self.distances[shard_of(from ^ to.rotate_left(64))];
+        let mut s = shard.lock().expect("corpus shard poisoned");
+        s.insert_bounded(key, Entry::new(d.to_le_bytes().to_vec()), self.shard_cap, &self.counters);
+    }
+
     /// Deterministically corrupts every stored byte image (all tiers)
     /// with `plan`'s seeded XOR mutations — the corruption-recovery
     /// test hook. Returns the number of entries touched.
@@ -660,7 +701,7 @@ impl CorpusCache {
             },
             SubTier::Distance => match decode_distance(bytes) {
                 Some((metric, from, to, d)) if distance_disk_key(metric, from, to) == key => {
-                    self.store_distance(metric, &from, &to, d);
+                    self.store_distance(metric, from, to, d);
                     true
                 }
                 _ => false,
@@ -724,44 +765,6 @@ impl SubTier {
     }
 }
 
-impl GlobalDistanceStore<ModelKey> for CorpusCache {
-    fn load_distance(&self, metric: Metric, from: &ModelKey, to: &ModelKey) -> Option<f64> {
-        let key = (metric, *from, *to);
-        let shard = &self.distances[shard_of(*from ^ to.rotate_left(64))];
-        let mut s = shard.lock().expect("corpus shard poisoned");
-        match s.map.get(&key) {
-            None => {
-                self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Some(entry) => match entry.verified().and_then(|b| {
-                let bits: [u8; 8] = b.try_into().ok()?;
-                Some(f64::from_le_bytes(bits))
-            }) {
-                Some(d) => {
-                    self.counters.distance_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(d)
-                }
-                None => {
-                    let freed = entry.bytes.len() as u64;
-                    s.map.remove(&key);
-                    self.counters.bytes_stored.fetch_sub(freed, Ordering::Relaxed);
-                    self.counters.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.counters.distance_misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            },
-        }
-    }
-
-    fn store_distance(&self, metric: Metric, from: &ModelKey, to: &ModelKey, d: f64) {
-        let key = (metric, *from, *to);
-        let shard = &self.distances[shard_of(*from ^ to.rotate_left(64))];
-        let mut s = shard.lock().expect("corpus shard poisoned");
-        s.insert_bounded(key, Entry::new(d.to_le_bytes().to_vec()), self.shard_cap, &self.counters);
-    }
-}
-
 /// The execution-tier adapter handed to the behavioral analysis: keys
 /// are `salt ⊕ function label`, where the salt fingerprints every
 /// analysis knob that can change an execution result (`max_paths`,
@@ -809,6 +812,33 @@ fn exec_salt(config: &AnalysisConfig) -> u128 {
     w.u64(config.fuel.limit());
     w.u64(config.tracelet_len as u64);
     key_of_bytes(&w.bytes)
+}
+
+/// The pipeline's model key: a 128-bit content hash of a model's
+/// training input ([`pool_key`]). Equal keys imply bit-equal trained
+/// models, which is what makes sharing models and distances across
+/// runs — and across *binaries* — sound.
+pub type ModelKey = u128;
+
+/// The `metric` divergence of `from` against `to`: the one function
+/// every pipeline divergence goes through (the distances stage,
+/// repartitioning, and post-hoc [`crate::Reconstruction`] queries). An
+/// attached corpus cache answers from its distance tier and is given
+/// every value computed on a miss; without one, every call computes.
+pub(crate) fn distance(
+    corpus: Option<&CorpusCache>,
+    metric: Metric,
+    (from_key, from): (ModelKey, &Slm<Event>),
+    (to_key, to): (ModelKey, &Slm<Event>),
+) -> f64 {
+    if let Some(d) = corpus.and_then(|c| c.load_distance(metric, from_key, to_key)) {
+        return d;
+    }
+    let d = metric.distance(from, to);
+    if let Some(c) = corpus {
+        c.store_distance(metric, from_key, to_key, d);
+    }
+    d
 }
 
 /// The content key of one SLM training input: model depth plus the
@@ -1494,21 +1524,21 @@ mod tests {
         let cache = CorpusCache::bounded(SHARDS);
         let d = 1.5_f64;
         for k in 0..64u128 {
-            cache.store_distance(Metric::KlDivergence, &k, &(k + 1), d + k as f64);
+            cache.store_distance(Metric::KlDivergence, k, k + 1, d + k as f64);
         }
         let (_, _, dist_len) = cache.lens();
         assert!(dist_len <= SHARDS, "live entries bounded by cap ({dist_len} > {SHARDS})");
         let s = cache.stats();
         assert_eq!(s.evicted, 64 - dist_len as u64, "every displaced entry is counted");
         // The newest entry in its shard survives and verifies clean.
-        let got = cache.load_distance(Metric::KlDivergence, &63, &64);
+        let got = cache.load_distance(Metric::KlDivergence, 63, 64);
         assert_eq!(got.map(f64::to_bits), Some((d + 63.0).to_bits()));
         // Evicted keys simply miss — the caller recomputes and may
         // re-store, which evicts again rather than growing the shard.
         let victim = (0..64u128)
-            .find(|k| cache.load_distance(Metric::KlDivergence, k, &(k + 1)).is_none())
+            .find(|&k| cache.load_distance(Metric::KlDivergence, k, k + 1).is_none())
             .expect("some key was evicted");
-        cache.store_distance(Metric::KlDivergence, &victim, &(victim + 1), 9.0);
+        cache.store_distance(Metric::KlDivergence, victim, victim + 1, 9.0);
         let (_, _, after) = cache.lens();
         assert!(after <= SHARDS, "re-store under pressure must not grow the shard");
         // bytes_stored reflects live entries only: 8 bytes per distance.
@@ -1516,7 +1546,7 @@ mod tests {
         // An unbounded cache never evicts.
         let unbounded = CorpusCache::new();
         for k in 0..64u128 {
-            unbounded.store_distance(Metric::KlDivergence, &k, &(k + 1), d);
+            unbounded.store_distance(Metric::KlDivergence, k, k + 1, d);
         }
         assert_eq!(unbounded.stats().evicted, 0);
         assert_eq!(unbounded.lens().2, 64);
@@ -1551,15 +1581,15 @@ mod tests {
     fn distance_tier_stores_exact_bits() {
         let cache = CorpusCache::new();
         let (ka, kb): (ModelKey, ModelKey) = (1, 2);
-        assert_eq!(cache.load_distance(Metric::KlDivergence, &ka, &kb), None);
+        assert_eq!(cache.load_distance(Metric::KlDivergence, ka, kb), None);
         let d = 0.1234567890123_f64;
-        cache.store_distance(Metric::KlDivergence, &ka, &kb, d);
-        let got = cache.load_distance(Metric::KlDivergence, &ka, &kb).unwrap();
+        cache.store_distance(Metric::KlDivergence, ka, kb, d);
+        let got = cache.load_distance(Metric::KlDivergence, ka, kb).unwrap();
         assert_eq!(got.to_bits(), d.to_bits());
         // Directional: the reverse pair is its own entry.
-        assert_eq!(cache.load_distance(Metric::KlDivergence, &kb, &ka), None);
+        assert_eq!(cache.load_distance(Metric::KlDivergence, kb, ka), None);
         // Other metrics are their own entries too.
-        assert_eq!(cache.load_distance(Metric::JsDivergence, &ka, &kb), None);
+        assert_eq!(cache.load_distance(Metric::JsDivergence, ka, kb), None);
         let s = cache.stats();
         assert_eq!((s.distance_hits, s.distance_misses), (1, 3));
     }

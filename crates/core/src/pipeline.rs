@@ -8,11 +8,11 @@ use rock_analysis::{Analysis, Event, IncidentKind};
 use rock_binary::Addr;
 use rock_graph::Forest;
 use rock_loader::{LoadIssue, LoadedBinary};
-use rock_slm::{DistanceCache, GlobalDistanceStore, Metric, ModelKey, Slm};
+use rock_slm::{Metric, Slm};
 use rock_structural::Structural;
 use rock_trace::{names, MetricsRegistry, TraceCtx, TraceLevel, Tracer};
 
-use crate::corpus::CorpusCache;
+use crate::corpus::{distance, CorpusCache, ModelKey};
 use crate::diagnostics::{Coverage, FaultKind, Severity, Stage, StageError, Subject};
 use crate::faultplan::FaultPlan;
 use crate::par::{par_map, Parallelism};
@@ -21,23 +21,21 @@ use crate::{RockConfig, StageTimings};
 /// The Rock reconstructor.
 ///
 /// Construct one with a [`RockConfig`] and call [`Rock::reconstruct`] on a
-/// loaded (stripped) binary. Every reconstructor owns a shared
-/// [`DistanceCache`]; [`Rock::with_shared_cache`] lets several
-/// reconstructors (e.g. an ablation sweep over metrics) reuse one cache so
-/// each `(metric, parent, child)` divergence is computed exactly once.
-/// Cache keys are **content hashes** of each type's tracelet pool
-/// ([`crate::corpus::pool_key`]), so equal keys imply equal training
-/// inputs and the cache is safe to share across runs — and, with
-/// [`RockConfig::canonical_calls`], across different binaries.
+/// loaded (stripped) binary. A bare reconstructor keeps no state between
+/// runs: two runs of the same binary produce identical results and
+/// identical metrics documents.
 ///
-/// [`Rock::with_corpus_cache`] additionally attaches a fleet-wide
-/// [`CorpusCache`]: symbolic executions, trained models, and distances
-/// are then published to (and answered from) the shared store, so a
-/// batch over overlapping binaries trains every distinct pool once.
+/// [`Rock::with_corpus_cache`] attaches a fleet-wide [`CorpusCache`]:
+/// symbolic executions, trained models, and distances are then
+/// published to (and answered from) the shared store, so a batch over
+/// overlapping binaries trains every distinct pool once. Its keys are
+/// **content hashes** of each type's tracelet pool
+/// ([`crate::corpus::pool_key`]), so equal keys imply equal training
+/// inputs and the store is safe to share across runs — and, with
+/// [`RockConfig::canonical_calls`], across different binaries.
 #[derive(Clone, Debug, Default)]
 pub struct Rock {
     config: RockConfig,
-    cache: Arc<DistanceCache<ModelKey>>,
     corpus: Option<Arc<CorpusCache>>,
     fault: Option<Arc<FaultPlan>>,
     tracer: Option<Arc<Tracer>>,
@@ -73,15 +71,14 @@ pub struct Reconstruction {
     /// The metric the distances were computed under.
     metric: Metric,
     /// The trained per-type models, kept so post-hoc queries
-    /// ([`Reconstruction::k_most_likely_parents`]) can fill cache misses.
+    /// ([`Reconstruction::k_most_likely_parents`]) can score pairs the
+    /// lifting pass did not.
     /// Shared (`Arc`) because corpus runs alias one model across every
     /// type — in one binary or many — whose pool hashes identically.
     models: BTreeMap<Addr, Arc<Slm<Event>>>,
     /// Content key of every type's tracelet pool (trained or not);
-    /// [`DistanceCache`] and [`CorpusCache`] lookups key on these.
+    /// [`CorpusCache`] lookups key on these.
     model_keys: BTreeMap<Addr, ModelKey>,
-    /// The distance cache shared with (and warmed by) the pipeline run.
-    cache: Arc<DistanceCache<ModelKey>>,
     /// The fleet-wide corpus cache, when the run had one attached.
     corpus: Option<Arc<CorpusCache>>,
 }
@@ -109,17 +106,11 @@ impl Reconstruction {
     /// X most likely parents as the type's parents." Returns, per type,
     /// as many parents as its constructor's vptr-store count indicates
     /// (single-inheritance types keep their one arborescence parent).
+    /// Each type is ranked once, so `mi_parents()[t]` equals
+    /// `k_most_likely_parents(k_t)[t]` for its count `k_t`.
     pub fn mi_parents(&self) -> BTreeMap<Addr, Vec<Addr>> {
         let counts = self.structural.vptr_store_counts();
-        let mut out = BTreeMap::new();
-        for family in self.structural.families() {
-            for &child in family {
-                let k = counts.get(&child).copied().unwrap_or(1).max(1);
-                let parents = self.k_most_likely_parents(k).remove(&child).unwrap_or_default();
-                out.insert(child, parents);
-            }
-        }
-        out
+        self.ranked_parents(|child| counts.get(&child).copied().unwrap_or(1).max(1))
     }
 
     /// §6.4 "Applying Control Flow Integrity": assigns up to `k` most
@@ -130,24 +121,34 @@ impl Reconstruction {
     /// The arborescence-chosen parent always ranks first; further slots
     /// are filled by ascending behavioral distance among the surviving
     /// structural candidates. Distances not computed during lifting are
-    /// filled through the run's shared [`DistanceCache`], so repeated
-    /// queries never recompute a divergence.
+    /// scored on demand (answered by the corpus cache when one was
+    /// attached to the run).
     pub fn k_most_likely_parents(&self, k: usize) -> BTreeMap<Addr, Vec<Addr>> {
+        self.ranked_parents(|_| k)
+    }
+
+    /// Every type's parents in rank order — the chosen parent first,
+    /// then the other candidates by ascending distance — truncated to
+    /// `k_of(type)` entries.
+    fn ranked_parents(&self, k_of: impl Fn(Addr) -> usize) -> BTreeMap<Addr, Vec<Addr>> {
         let mut out = BTreeMap::new();
         for family in self.structural.families() {
             for &child in family {
+                let k = k_of(child);
                 let chosen = self.parent_of(child);
-                let mut ranked: Vec<(f64, Addr)> = self
-                    .structural
-                    .possible_parents()
-                    .of(child)
-                    .into_iter()
-                    .filter(|p| Some(*p) != chosen)
-                    .map(|p| (self.distance_of(p, child), p))
-                    .collect();
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
                 let mut parents: Vec<Addr> = chosen.into_iter().collect();
-                parents.extend(ranked.into_iter().map(|(_, p)| p));
+                if parents.len() < k {
+                    let mut ranked: Vec<(f64, Addr)> = self
+                        .structural
+                        .possible_parents()
+                        .of(child)
+                        .into_iter()
+                        .filter(|p| Some(*p) != chosen)
+                        .map(|p| (self.distance_of(p, child), p))
+                        .collect();
+                    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    parents.extend(ranked.into_iter().map(|(_, p)| p));
+                }
                 parents.truncate(k);
                 out.insert(child, parents);
             }
@@ -156,8 +157,8 @@ impl Reconstruction {
     }
 
     /// The behavioral distance of a candidate edge: answered from the
-    /// lifting pass when available, otherwise computed through the shared
-    /// cache; `f64::MAX` if either endpoint has no model.
+    /// lifting pass when available, otherwise scored through the run's
+    /// corpus cache (if any); `f64::MAX` if either endpoint has no model.
     fn distance_of(&self, parent: Addr, child: Addr) -> f64 {
         if let Some(d) = self.distances.get(&(parent, child)) {
             return *d;
@@ -169,8 +170,7 @@ impl Reconstruction {
         else {
             return f64::MAX;
         };
-        let global = self.corpus.as_deref().map(|c| c as &dyn GlobalDistanceStore<ModelKey>);
-        self.cache.distance_via(self.metric, (kp, &**pm), (kc, &**cm), global)
+        distance(self.corpus.as_deref(), self.metric, (*kp, pm), (*kc, cm))
     }
 }
 
@@ -182,23 +182,9 @@ impl fmt::Display for Reconstruction {
 }
 
 impl Rock {
-    /// Creates a reconstructor with its own (empty) distance cache.
+    /// Creates a reconstructor with no caches attached.
     pub fn new(config: RockConfig) -> Self {
-        Rock::with_shared_cache(config, Arc::new(DistanceCache::new()))
-    }
-
-    /// Creates a reconstructor that shares `cache` with other passes
-    /// (ablation sweeps, repeated reconstructions). Content keys make
-    /// sharing sound across binaries too: equal keys imply equal pools.
-    pub fn with_shared_cache(config: RockConfig, cache: Arc<DistanceCache<ModelKey>>) -> Self {
-        Rock {
-            config,
-            cache,
-            corpus: None,
-            fault: None,
-            tracer: None,
-            trace_level: TraceLevel::default(),
-        }
+        Rock { config, ..Rock::default() }
     }
 
     /// Attaches a fleet-wide [`CorpusCache`]: subsequent runs answer
@@ -247,19 +233,9 @@ impl Rock {
         &self.config
     }
 
-    /// The distance cache this reconstructor reads and warms.
-    pub fn cache(&self) -> &Arc<DistanceCache<ModelKey>> {
-        &self.cache
-    }
-
     /// The attached corpus cache, if any.
     pub fn corpus_cache(&self) -> Option<&Arc<CorpusCache>> {
         self.corpus.as_ref()
-    }
-
-    /// The corpus cache viewed as the distance tier's global store.
-    pub(crate) fn global_distances(&self) -> Option<&dyn GlobalDistanceStore<ModelKey>> {
-        self.corpus.as_deref().map(|c| c as &dyn GlobalDistanceStore<ModelKey>)
     }
 
     /// Runs the full pipeline on a loaded binary.
@@ -331,7 +307,6 @@ pub(crate) fn assemble_reconstruction(
     metric: Metric,
     models: BTreeMap<Addr, Arc<Slm<Event>>>,
     model_keys: BTreeMap<Addr, ModelKey>,
-    cache: Arc<DistanceCache<ModelKey>>,
     corpus: Option<Arc<CorpusCache>>,
 ) -> Reconstruction {
     Reconstruction {
@@ -346,7 +321,6 @@ pub(crate) fn assemble_reconstruction(
         metric,
         models,
         model_keys,
-        cache,
         corpus,
     }
 }
@@ -449,8 +423,7 @@ pub(crate) fn repartition(
     model_keys: &BTreeMap<Addr, ModelKey>,
     loaded: &LoadedBinary,
     metric: Metric,
-    cache: &DistanceCache<ModelKey>,
-    global: Option<&dyn GlobalDistanceStore<ModelKey>>,
+    corpus: Option<&CorpusCache>,
     par: Parallelism,
     ctx: TraceCtx<'_>,
 ) -> usize {
@@ -481,9 +454,8 @@ pub(crate) fn repartition(
     let scanned = par_map(par, &roots, |&root| {
         let mut spans = ctx.local();
         let token = spans.enter(names::REPARTITION_ROOT, root.value());
-        let proposal = scan_root(
-            root, hierarchy, &family_of, models, model_keys, loaded, metric, cache, global,
-        );
+        let proposal =
+            scan_root(root, hierarchy, &family_of, models, model_keys, loaded, metric, corpus);
         spans.exit(token);
         // Cross-family edges had no structural support, so require only
         // that they stay within 2x the worst accepted edge.
@@ -518,8 +490,7 @@ fn scan_root(
     model_keys: &BTreeMap<Addr, ModelKey>,
     loaded: &LoadedBinary,
     metric: Metric,
-    cache: &DistanceCache<ModelKey>,
-    global: Option<&dyn GlobalDistanceStore<ModelKey>>,
+    corpus: Option<&CorpusCache>,
 ) -> Option<(f64, Addr)> {
     let root_vt = loaded.vtable_at(root)?;
     // A root whose training faulted has no model to compare with.
@@ -546,21 +517,11 @@ fn scan_root(
         let Some(cand_key) = model_keys.get(&cand.addr()) else {
             continue;
         };
-        let d = cache.distance_via(
-            metric,
-            (cand_key, &**cand_model),
-            (root_key, &**root_model),
-            global,
-        );
+        let d = distance(corpus, metric, (*cand_key, cand_model), (*root_key, root_model));
         // Parenthood is asymmetric (§4.2.1): the candidate's behavior
         // should be *contained* in the root's, so encoding parent
         // with child must be cheaper than the reverse.
-        let d_rev = cache.distance_via(
-            metric,
-            (root_key, &**root_model),
-            (cand_key, &**cand_model),
-            global,
-        );
+        let d_rev = distance(corpus, metric, (*root_key, root_model), (*cand_key, cand_model));
         if d >= d_rev {
             continue;
         }
@@ -706,22 +667,34 @@ mod tests {
         assert!(t.threads >= 1);
         assert!(t.total >= t.analysis);
         assert_eq!(c(names::DISTANCES_FOREIGN_CANDIDATES), 0);
-        // Every lifted edge came through the cache exactly once.
-        assert_eq!(c(names::DISTANCES_CACHE_MISS) as usize, recon.distances.len());
     }
 
+    /// A bare `Rock` keeps nothing between runs, so a rerun reproduces
+    /// the metrics document byte for byte. Reuse across runs comes only
+    /// from a shared corpus cache, whose distance tier then answers every
+    /// pair the first run computed, with the same bits.
     #[test]
-    fn shared_cache_is_reused_across_runs() {
+    fn reruns_are_stateless_and_the_corpus_carries_distances() {
         let (loaded, _) = streams_optimized();
-        let rock = Rock::new(RockConfig::paper());
-        let first = rock.reconstruct(&loaded);
-        let second = rock.reconstruct(&loaded);
-        let misses = |r: &Reconstruction| r.metrics.counter(names::DISTANCES_CACHE_MISS);
-        assert!(misses(&first) > 0);
-        // The second pass finds every pair already cached.
-        assert_eq!(misses(&second), 0);
-        assert_eq!(second.metrics.counter(names::DISTANCES_CACHE_HIT), misses(&first));
-        assert_eq!(first.distances, second.distances);
+        let bare = Rock::new(RockConfig::paper());
+        let first = bare.reconstruct(&loaded);
+        let second = bare.reconstruct(&loaded);
+        assert_eq!(first.metrics.to_json(), second.metrics.to_json());
+
+        let corpus = Arc::new(CorpusCache::new());
+        let shared = Rock::new(RockConfig::paper()).with_corpus_cache(Arc::clone(&corpus));
+        let cold = shared.reconstruct(&loaded);
+        let cold_stats = corpus.stats();
+        let warm = shared.reconstruct(&loaded);
+        let warm_stats = corpus.stats().since(&cold_stats);
+        assert!(cold_stats.distance_misses > 0);
+        assert_eq!(warm_stats.distance_hits, cold_stats.distance_misses);
+        assert_eq!(warm_stats.distance_misses, 0);
+        let bits = |r: &Reconstruction| -> Vec<_> {
+            r.distances.iter().map(|(edge, d)| (*edge, d.to_bits())).collect()
+        };
+        assert_eq!(bits(&cold), bits(&warm));
+        assert_eq!(bits(&cold), bits(&first));
     }
 
     /// Regression: a possible-parent candidate outside the family's member

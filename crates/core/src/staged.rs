@@ -28,11 +28,11 @@ use rock_analysis::{
 use rock_binary::Addr;
 use rock_graph::{min_spanning_forest, DiGraph, Forest};
 use rock_loader::{LoadIssue, LoadedBinary};
-use rock_slm::{ModelKey, Slm};
+use rock_slm::Slm;
 use rock_structural::{analyze, Structural};
 use rock_trace::{names, MetricsRegistry};
 
-use crate::corpus::pool_key;
+use crate::corpus::{distance, pool_key, ModelKey};
 use crate::diagnostics::{
     Coverage, DiagnosticSink, FaultKind, Severity, Stage, StageError, Subject,
 };
@@ -133,8 +133,6 @@ pub struct StagedRun<'a> {
     metrics: MetricsRegistry,
     sink: DiagnosticSink,
     coverage: Coverage,
-    cache_hits0: u64,
-    cache_misses0: u64,
     analysis: Option<Analysis>,
     structural: Option<Structural>,
     models: Option<BTreeMap<Addr, Arc<Slm<Event>>>>,
@@ -174,8 +172,6 @@ impl Rock {
             metrics: MetricsRegistry::new(),
             sink,
             coverage,
-            cache_hits0: self.cache().hits(),
-            cache_misses0: self.cache().misses(),
             analysis: None,
             structural: None,
             models: None,
@@ -405,8 +401,8 @@ impl<'a> StagedRun<'a> {
     }
 
     /// Computes the content key of every type's tracelet pool (trained
-    /// and faulted types alike); distance-cache and corpus lookups key on
-    /// these instead of per-binary vtable addresses.
+    /// and faulted types alike); corpus lookups key on these instead of
+    /// per-binary vtable addresses.
     fn compute_model_keys(&mut self) {
         let analysis = self.analysis.as_ref().expect("model keys follow analysis");
         let depth = self.rock.config().analysis.slm_depth;
@@ -611,11 +607,11 @@ impl<'a> StagedRun<'a> {
                 |parent, child| {
                     let pair = spans.enter(names::DISTANCES_PAIR, parent.value());
                     let d = match (models.get(&parent), models.get(&child)) {
-                        (Some(pm), Some(cm)) => Some(rock.cache().distance_via(
+                        (Some(pm), Some(cm)) => Some(distance(
+                            rock.corpus_cache().map(|c| &**c),
                             config.metric,
-                            (&model_keys[&parent], &**pm),
-                            (&model_keys[&child], &**cm),
-                            rock.global_distances(),
+                            (model_keys[&parent], pm),
+                            (model_keys[&child], cm),
                         )),
                         _ => None,
                     };
@@ -939,8 +935,7 @@ impl<'a> StagedRun<'a> {
                 &self.model_keys,
                 self.loaded,
                 config.metric,
-                rock.cache(),
-                rock.global_distances(),
+                rock.corpus_cache().map(|c| &**c),
                 config.parallelism,
                 ctx,
             );
@@ -950,8 +945,8 @@ impl<'a> StagedRun<'a> {
 
         // Finalize registry counters that only settle at the run
         // boundary; all of them derive from deterministic state (coverage
-        // snapshots, diagnostics, cache deltas), so restored runs report
-        // what the uninterrupted run would have.
+        // snapshots, diagnostics), so restored runs report what the
+        // uninterrupted run would have.
         let cov = self.coverage;
         self.metrics.set(names::ANALYSIS_FUNCTIONS_TOTAL, cov.functions_total as u64);
         self.metrics.set(names::ANALYSIS_FUNCTIONS_ANALYZED, cov.functions_analyzed as u64);
@@ -964,9 +959,6 @@ impl<'a> StagedRun<'a> {
         self.metrics.set(names::LIFTING_FAMILIES_TOTAL, cov.families_total as u64);
         self.metrics.set(names::LIFTING_FAMILIES_LIFTED, cov.families_lifted as u64);
         self.metrics.set(names::LIFTING_FAMILIES_DEGRADED, cov.families_degraded as u64);
-        self.metrics.set(names::DISTANCES_CACHE_HIT, self.rock.cache().hits() - self.cache_hits0);
-        self.metrics
-            .set(names::DISTANCES_CACHE_MISS, self.rock.cache().misses() - self.cache_misses0);
         let dropped = self.sink.dropped();
         let diagnostics = self.sink.into_entries();
         let errors = diagnostics.iter().filter(|e| e.severity == Severity::Error).count();
@@ -993,7 +985,6 @@ impl<'a> StagedRun<'a> {
             config.metric,
             models,
             std::mem::take(&mut self.model_keys),
-            self.rock.cache().clone(),
             self.rock.corpus_cache().cloned(),
         )
     }

@@ -108,11 +108,9 @@ fn render_text(t: &StageTimings, m: &MetricsRegistry) -> String {
     );
     let _ = writeln!(
         s,
-        "  distances    {:>10.3} ms  ({} edges, cache {} hit / {} miss)",
+        "  distances    {:>10.3} ms  ({} edges)",
         ms(t.distances),
-        c(names::DISTANCES_EDGES),
-        c(names::DISTANCES_CACHE_HIT),
-        c(names::DISTANCES_CACHE_MISS)
+        c(names::DISTANCES_EDGES)
     );
     let _ = writeln!(s, "  lifting      {:>10.3} ms", ms(t.lifting));
     let _ = writeln!(s, "  repartition  {:>10.3} ms", ms(t.repartition));
@@ -218,8 +216,6 @@ mod tests {
             (names::SLM_WORDS_UNIQUE, 57),
             (names::SLM_WORDS_TOTAL, 200),
             (names::DISTANCES_EDGES, 120),
-            (names::DISTANCES_CACHE_HIT, 7),
-            (names::DISTANCES_CACHE_MISS, 113),
             (names::ANALYSIS_FUNCTIONS_SKIPPED, 2),
             (names::ANALYSIS_FUEL_EXHAUSTED, 1),
             (names::LOAD_VTABLES_REJECTED, 3),
@@ -240,8 +236,7 @@ mod tests {
             "structural",
             "39 SLMs",
             "410 nodes, 380 edges, ~4.0 KiB, 57/200 unique words",
-            "120 edges",
-            "cache 7 hit / 113 miss",
+            "120 edges)",
             "lifting",
             "repartition",
             "2 skipped fns (1 fuel-starved), 3 rejected vtables, 96 diagnostic bytes",

@@ -40,8 +40,8 @@ impl Metric {
 
     /// Computes the distance from `a` to `b` under this metric. The union
     /// alphabet size is computed once here (not once per internal KL
-    /// term); callers that already know it — ablation sweeps, the
-    /// distance cache — should use [`Metric::distance_with_alphabet`].
+    /// term); callers that already know it — e.g. a sweep over every
+    /// metric of one pair — can use [`Metric::distance_with_alphabet`].
     pub fn distance<S: Symbol>(self, a: &Slm<S>, b: &Slm<S>) -> f64 {
         self.distance_with_alphabet(a, b, union_alphabet_len(a, b))
     }

@@ -45,13 +45,11 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod cache;
 mod divergence;
 mod intern;
 mod model;
 pub mod reference;
 
-pub use cache::{DistanceCache, GlobalDistanceStore, ModelKey};
 pub use divergence::{
     cross_entropy, js_distance, js_distance_with_alphabet, js_divergence,
     js_divergence_with_alphabet, kl_divergence, kl_divergence_over, kl_divergence_over_set,

@@ -238,7 +238,7 @@ pub struct JobReport {
     /// counts only — no wall-clock values.
     pub metrics: Option<String>,
     /// This job's corpus-cache traffic (hit/miss/bytes deltas across all
-    /// three tiers), when the supervisor has a [`CorpusCache`] attached.
+    /// four tiers), when the supervisor has a [`CorpusCache`] attached.
     pub corpus: Option<CorpusStats>,
     /// This job's artifact-store fault-path traffic (sweep / retry /
     /// failure / corruption deltas), present only when something fired —
@@ -484,7 +484,7 @@ impl Supervisor {
     }
 
     /// Attaches a fleet-wide [`CorpusCache`]: every attempt of every job
-    /// reads and warms the shared three-tier store, and each report
+    /// reads and warms the shared four-tier store, and each report
     /// carries the job's hit/miss deltas. Pair with
     /// [`RockConfig::with_canonical_calls`] so content keys survive
     /// layout differences between the batch's images.

@@ -106,10 +106,6 @@ pub const DISTANCES_EDGES: &str = "distances.edges";
 pub const DISTANCES_FOREIGN_CANDIDATES: &str = "distances.foreign_candidates";
 /// Candidate pairs dropped because an endpoint had no model.
 pub const DISTANCES_UNMODELED: &str = "distances.unmodeled_pairs";
-/// Distance lookups answered by the shared cache.
-pub const DISTANCES_CACHE_HIT: &str = "distances.cache_hit";
-/// Distance lookups that had to compute.
-pub const DISTANCES_CACHE_MISS: &str = "distances.cache_miss";
 
 /// Families found by the structural phase.
 pub const LIFTING_FAMILIES_TOTAL: &str = "lifting.families_total";

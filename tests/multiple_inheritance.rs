@@ -167,4 +167,10 @@ fn mi_parents_returns_one_parent_per_vptr_store() {
     assert!(mi[&readable].len() <= 1);
     let writable = compiled.vtable_of("Writable").unwrap();
     assert!(mi[&writable].len() <= 1);
+    // Each type's list is its top-k_t ranking, k_t its vptr-store count.
+    let counts = recon.structural.vptr_store_counts();
+    for (t, parents) in &mi {
+        let k = counts.get(t).copied().unwrap_or(1).max(1);
+        assert_eq!(parents, &recon.k_most_likely_parents(k)[t], "type {t}");
+    }
 }

@@ -59,8 +59,8 @@ fn stress_program_serial_vs_threads_bit_identical() {
     // The parallel run really did use more workers.
     assert_eq!(serial.timings.threads, 1);
     assert_eq!(parallel.timings.threads, 4);
-    // Same work either way: one cache miss per computed pair.
-    for name in [names::DISTANCES_CACHE_MISS, names::DISTANCES_EDGES] {
+    // Same work either way: the same pairs scored, the same edges kept.
+    for name in [names::DISTANCES_PAIRS_SCORED, names::DISTANCES_EDGES] {
         assert_eq!(serial.metrics.counter(name), parallel.metrics.counter(name), "{name}");
     }
 }
